@@ -13,14 +13,12 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
-from . import exponents
-from .exponents import (RegionScan, Verdict, critical_curve_q, critical_values,
+from .exponents import (Verdict, critical_curve_q, critical_values,
                         diagonal_blowup_bound, fujita_exponent, p0_exponent,
-                        region_scan, scan_arrays, strauss_exponent)
+                        region_scan, strauss_exponent)
 from .lifespan import InconclusiveSweep, sweep
 from .output import write_csv, write_json
 from .params import ProblemParams, admissible_cap
@@ -48,7 +46,7 @@ _SCHEMAS: dict[str, dict] = {
         "p_min": (float, math.nan), "p_max": (float, math.nan),
         "q_min": (float, math.nan), "q_max": (float, math.nan),
         "svg": (bool, False),
-        "jobs": (int, 0),
+        "jobs": (int, 0),  # unread; kept so old configs and the echo hold
     },
     "curves": {**_COMMON, "n_min": (int, 2), "n_max": (int, 12)},
     "sequences": {
@@ -150,18 +148,14 @@ def _jobs(cfg: dict) -> int:
 # ---------------------------------------------------------------------------
 # subcommands
 
-_REGION_COLORS = {0: "#c62828", 1: "#ef9a00", 2: "#9e9e9e", 3: "#e0e0e0"}
 _REGION_LABELS = [("blow_up", "#c62828"), ("wakasugi_only", "#ef9a00"),
                   ("none_known", "#9e9e9e"), ("inadmissible", "#e0e0e0")]
 
 
-def _region_chunk(args):
-    n, p_block, q_block = args
-    return scan_arrays(n, p_block, q_block)
-
-
 def cmd_region(cfg: dict) -> int:
     n, res = cfg["n"], cfg["grid"]
+    if res < 2:
+        raise ConfigError(f"grid must be >= 2, got {res}")
     cap = admissible_cap(n)
     p_max = cfg["p_max"] if not math.isnan(cfg["p_max"]) else \
         (cap if math.isfinite(cap) else 6.0)
@@ -173,38 +167,22 @@ def cmd_region(cfg: dict) -> int:
         1.0 + (q_max - 1.0) / res
     cfg = {**cfg, "p_min": p_min, "p_max": p_max,
            "q_min": q_min, "q_max": q_max}
-    ps = np.linspace(p_min, p_max, res)
-    qs = np.linspace(q_min, q_max, res)
-    P, Q = np.meshgrid(ps, qs, indexing="ij")
-    P, Q = P.ravel(), Q.ravel()
-    jobs = _jobs(cfg)
-    if jobs > 1:
-        blocks = np.array_split(np.arange(P.size), jobs)
-        tasks = [(n, P[b], Q[b]) for b in blocks if b.size]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            parts = list(pool.map(_region_chunk, tasks))
-        aN = np.concatenate([p[0] for p in parts])
-        F = np.concatenate([p[1] for p in parts])
-        codes = np.concatenate([p[2] for p in parts])
-        binding = np.concatenate([p[3] for p in parts])
-    else:
-        aN, F, codes, binding = scan_arrays(n, P, Q)
-    scan = RegionScan(n=n, p=P, q=Q, alpha_n=aN, F=F, verdict_code=codes,
-                      binding=binding)
+    scan = region_scan(n, (p_min, p_max), (q_min, q_max), res)
     out = cfg["out"]
     write_csv(f"{out}.csv", cfg,
               ["p", "q", "alphaN", "F", "verdict", "binding_component"],
-              scan.rows())
+              [scan.p, scan.q, scan.alpha_n, scan.F, scan.verdict_labels(),
+               scan.binding])
     if cfg["svg"]:
-        colors = [_REGION_COLORS[int(c)] for c in codes]
+        colors = [_REGION_LABELS[c][1] for c in scan.verdict_code.tolist()]
         curve_p, curve_q = [], []
-        for pv in ps:
+        for pv in scan.p[::res]:
             qc = critical_curve_q(n, float(pv), q_max)
             if qc is not None and qc >= q_min:
                 curve_p.append(float(pv))
                 curve_q.append(qc)
         curves = [(curve_p, curve_q, "#1a237e")] if len(curve_p) > 1 else None
-        scatter_svg(f"{out}.svg", P, Q, colors, "p", "q",
+        scatter_svg(f"{out}.svg", scan.p, scan.q, colors, "p", "q",
                     f"blow-up classification, n={n}", legend=_REGION_LABELS,
                     point_size=max(2.0, 360.0 / res), config=cfg,
                     curves=curves)
@@ -219,7 +197,7 @@ def cmd_curves(cfg: dict) -> int:
                      diagonal_blowup_bound(n), admissible_cap(n)))
     write_csv(f"{cfg['out']}.csv", cfg,
               ["n", "strauss", "fujita", "p0", "diagonal_bound", "cap"],
-              rows)
+              zip(*rows))
     return 0
 
 
@@ -248,7 +226,7 @@ def cmd_sequences(cfg: dict) -> int:
               ["j", "ell_j", "L_j", "alpha_j", "a_j", "beta_j", "b_j",
                "logD_j", "logQ_j", "logD_lower", "logQ_lower",
                "closed_form_ok"],
-              rows)
+              zip(*rows))
     return 0
 
 
@@ -257,7 +235,7 @@ def cmd_testfn(cfg: dict) -> int:
     r = np.linspace(0.0, cfg["r_max"], cfg["num"])
     log_phi = ev.log_phi(r)
     write_csv(f"{cfg['out']}.csv", cfg, ["r", "phi", "log_phi"],
-              zip(r, np.exp(log_phi), log_phi))
+              [r, np.exp(log_phi), log_phi])
     return 0
 
 
@@ -278,8 +256,8 @@ def cmd_simulate(cfg: dict) -> int:
     out = cfg["out"]
     write_csv(f"{out}.csv", cfg,
               ["t", "U", "V", "V1", "maxu", "maxv", "res_u", "res_v"],
-              zip(trace.times, trace.U, trace.V, trace.V1, trace.max_u,
-                  trace.max_v, trace.res_u, trace.res_v))
+              [trace.times, trace.U, trace.V, trace.V1, trace.max_u,
+               trace.max_v, trace.res_u, trace.res_v])
     write_json(f"{out}.meta.json", {
         "config": cfg,
         "dt": numerics.cfl * numerics.h,
@@ -306,8 +284,8 @@ def cmd_sweep(cfg: dict) -> int:
         print(f"sweep inconclusive: {exc}", file=sys.stderr)
         return 3
     write_csv(f"{out}.csv", cfg, ["epsilon", "T_blowup", "h", "threshold"],
-              [(e, t, numerics.h, numerics.threshold)
-               for e, t in zip(fit.epsilons, fit.t_values)])
+              zip(*[(e, t, numerics.h, numerics.threshold)
+                    for e, t in zip(fit.epsilons, fit.t_values)]))
     write_json(f"{out}.json", {
         "config": cfg,
         "fitted": fit.fitted_slope,

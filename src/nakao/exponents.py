@@ -134,11 +134,6 @@ class ExponentReport:
     verdict: Verdict
 
 
-def admissible(params: ProblemParams) -> bool:
-    """True iff p,q > 1 and (n <= 2 or max(p,q) <= n/(n-2))."""
-    return params.admissible
-
-
 def classify(n: int, p: float, q: float, is_admissible: bool) -> Verdict:
     """Strict iteration condition first, then the (non-strict) Wakasugi one."""
     if not is_admissible:
@@ -254,6 +249,10 @@ _VERDICT_CODES = {
     Verdict.INADMISSIBLE: 3,
 }
 _CODE_VERDICTS = {v: k for k, v in _VERDICT_CODES.items()}
+# verdict text by code; object dtype so that indexing by the codes copies
+# references to four strings, not a fixed-width string per cell
+_CODE_LABELS = np.array([_CODE_VERDICTS[c].value
+                         for c in range(len(_CODE_VERDICTS))], dtype=object)
 
 
 @dataclass(frozen=True)
@@ -271,12 +270,9 @@ class RegionScan:
     def verdicts(self) -> list[Verdict]:
         return [_CODE_VERDICTS[int(c)] for c in self.verdict_code]
 
-    def rows(self):
-        """(p, q, alpha_n, F, verdict string, binding component) per cell."""
-        for i in range(self.p.size):
-            yield (float(self.p[i]), float(self.q[i]), float(self.alpha_n[i]),
-                   float(self.F[i]), _CODE_VERDICTS[int(self.verdict_code[i])].value,
-                   int(self.binding[i]))
+    def verdict_labels(self) -> np.ndarray:
+        """Verdict text per cell, as an object array."""
+        return _CODE_LABELS[self.verdict_code]
 
 
 def scan_arrays(n: int, P: np.ndarray, Q: np.ndarray):

@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 
+_BLOCK_ROWS = 1 << 16  # rows formatted and written per block; bounds memory
+
 
 def _native(value):
     """Convert numpy scalars/arrays so json and repr behave predictably;
@@ -26,8 +28,10 @@ def _native(value):
     return value
 
 
-def fmt_cell(value) -> str:
-    """Shortest round-trip text for a CSV cell."""
+def _cell(value) -> str:
+    """Shortest round-trip text for one CSV cell of a mixed column."""
+    if type(value) is str:
+        return value
     value = _native(value)
     if isinstance(value, bool):
         return "true" if value else "false"
@@ -38,17 +42,36 @@ def fmt_cell(value) -> str:
     return str(value)
 
 
+def _column_text(col):
+    """Cell texts of one column block: repr for float64 (which spells nan and
+    inf as _cell does), str for int and str arrays, else _cell per cell."""
+    if isinstance(col, np.ndarray):
+        if col.dtype == np.float64:
+            return map(repr, col.tolist())
+        if col.dtype.kind in "iuU":
+            return map(str, col.tolist())
+    return map(_cell, col)
+
+
 def config_line(config: dict) -> str:
     return "# config: " + json.dumps(_native(config), sort_keys=True,
                                      separators=(",", ":"))
 
 
-def write_csv(path, config: dict, header: list[str], rows) -> None:
-    """CSV with the resolved config embedded as a leading comment line."""
-    lines = [config_line(config), ",".join(header)]
-    for row in rows:
-        lines.append(",".join(fmt_cell(c) for c in row))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+def write_csv(path, config: dict, header: list[str], columns) -> None:
+    """CSV with the resolved config as a leading comment line; `columns` holds
+    one sequence per header entry (none at all, as zip(*[]) gives, is 0 rows)."""
+    columns = list(columns)
+    n_rows = len(columns[0]) if columns else 0
+    if columns and (len(columns) != len(header)
+                    or any(len(col) != n_rows for col in columns)):
+        raise ValueError("need one column per header entry, all one length")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(config_line(config) + "\n" + ",".join(header) + "\n")
+        for start in range(0, n_rows, _BLOCK_ROWS):
+            block = [_column_text(col[start:start + _BLOCK_ROWS])
+                     for col in columns]
+            fh.write("\n".join(map(",".join, zip(*block))) + "\n")
 
 
 def write_json(path, obj: dict) -> None:

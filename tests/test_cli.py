@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from nakao import cli
 from nakao.cli import dispatch
 
 
@@ -54,15 +55,18 @@ def test_region_flag_overrides_config(tmp_path):
     assert len(rows) == 49
 
 
-def test_region_jobs_matches_serial(tmp_path):
-    a, b = tmp_path / "a", tmp_path / "b"
-    assert dispatch(["region", "--n", "2", "--grid", "24",
-                     "--out", str(a)]) == 0
-    assert dispatch(["region", "--n", "2", "--grid", "24", "--jobs", "3",
-                     "--out", str(b)]) == 0
-    body_a = Path(f"{a}.csv").read_text().splitlines()[1:]
-    body_b = Path(f"{b}.csv").read_text().splitlines()[1:]
-    assert body_a == body_b
+@pytest.mark.parametrize("box", [
+    ["--p-min", "0.5"],                       # lower end not above 1
+    ["--p-min", "3", "--p-max", "2"],         # empty range
+    ["--q-min", "2", "--q-max", "2"],         # degenerate range
+    ["--grid", "1"],
+    ["--grid", "0"],
+])
+def test_region_rejected_box_exits_2_without_csv(tmp_path, box):
+    out = tmp_path / "reg"
+    assert dispatch(["region", "--n", "2", "--grid", "5", *box,
+                     "--out", str(out)]) == 2
+    assert not Path(f"{out}.csv").exists()
 
 
 def test_curves_csv(tmp_path):
@@ -146,16 +150,21 @@ def test_report_output(tmp_path):
 
 
 def test_jobs_env_fallback(tmp_path, monkeypatch):
+    seen = []
+
+    def fake_sweep(*args, jobs, **kwargs):
+        seen.append(jobs)
+        raise cli.InconclusiveSweep("stub")
+
+    monkeypatch.setattr(cli, "sweep", fake_sweep)
+    argv = ["sweep", "--n", "1", "--p", "2", "--q", "2",
+            "--out", str(tmp_path / "sw")]
     monkeypatch.setenv("NAKAO_JOBS", "2")
-    out = tmp_path / "reg"
-    assert dispatch(["region", "--n", "2", "--grid", "10",
-                     "--out", str(out)]) == 0
-    serial = tmp_path / "reg_serial"
+    assert dispatch(argv) == 3
+    assert dispatch([*argv, "--jobs", "3"]) == 3   # the flag wins
     monkeypatch.delenv("NAKAO_JOBS")
-    assert dispatch(["region", "--n", "2", "--grid", "10",
-                     "--out", str(serial)]) == 0
-    assert (Path(f"{out}.csv").read_text().splitlines()[1:]
-            == Path(f"{serial}.csv").read_text().splitlines()[1:])
+    assert dispatch(argv) == 3
+    assert seen == [2, 3, 1]
 
 
 def test_config_roundtrip_through_echo(tmp_path):

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
+from nakao.cli import dispatch
 from nakao.exponents import (Verdict, alpha0, alpha1, alpha_n, alpha_nw,
                              comp_shifted, comp_wave, critical_values,
                              diagonal_blowup_bound, f2, f3, fujita_exponent,
@@ -122,12 +124,18 @@ def test_region_scan_shapes_and_verdicts():
         region_scan(2, (0.5, 2.5), (1.5, 2.5), 3)
 
 
-def test_region_rows_format():
-    scan = region_scan(2, (1.5, 2.0), (1.5, 2.0), 2)
-    rows = list(scan.rows())
+def test_region_rows_format(tmp_path):
+    out = tmp_path / "reg"
+    assert dispatch(["region", "--n", "2", "--grid", "2",
+                     "--p-min", "1.5", "--p-max", "2.0",
+                     "--q-min", "1.5", "--q-max", "2.0",
+                     "--out", str(out)]) == 0
+    rows = [line.split(",") for line in
+            Path(f"{out}.csv").read_text().splitlines()[2:]]
     assert len(rows) == 4
-    p, q, a, F, verdict, binding = rows[0]
-    assert isinstance(verdict, str) and binding in (1, 2, 3)
+    labels = {v.value for v in Verdict}
+    for p, q, a, F, verdict, binding in rows:
+        assert verdict in labels and binding in ("1", "2", "3")
 
 
 @st.composite
