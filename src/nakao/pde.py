@@ -7,6 +7,10 @@ n = 1 is solved on the full symmetric interval; n >= 2 on the radial half
 line with an even-symmetry ghost at the origin (regularized Laplacian
 n * u_rr(0)) and homogeneous Dirichlet at the outer boundary, which the light
 cone never reaches.
+
+`run` steps and measures only the exact nonzero span of the solution (see
+RadialField.span), in buffers allocated once per field; every value equals
+that of the whole-grid computation bit for bit.
 """
 from __future__ import annotations
 
@@ -84,7 +88,13 @@ class BlowupReason(str, Enum):
 
 @dataclass
 class RadialField:
-    """Two time levels of (u, v) on the grid, plus quadrature weights."""
+    """Two time levels of (u, v) on the grid, plus quadrature weights.
+
+    span = (lo, hi), when set, says that nodes lo..hi-1 hold every nonzero of
+    u, u_prev, v and v_prev.  step, functionals and support_radius then work
+    on those nodes only, and step keeps the span exact.  None (the default)
+    means the whole grid.
+    """
 
     n: int
     h: float
@@ -96,10 +106,43 @@ class RadialField:
     v: np.ndarray
     v_prev: np.ndarray
     k: int = 0           # completed steps; current time = k * dt
+    span: tuple[int, int] | None = None
+    work: _Work = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.work = _Work(self.n, self.x)
 
     @property
     def t(self) -> float:
         return self.k * self.dt
+
+    @property
+    def window(self) -> tuple[int, int]:
+        """Nodes lo..hi-1 that the per-step work covers: the span, or the
+        whole grid."""
+        return self.span if self.span is not None else (0, self.x.size)
+
+
+class _Work:
+    """Scratch arrays of one field, so that stepping allocates nothing.
+
+    src_u, src_v (the sources |v|^p, |u|^q) and v_phi are zero outside the
+    span: step zeroes the nodes it trims, so whole-grid dots over them equal
+    those of the whole-grid computation.  coef = (n-1)/x is the first-order
+    radial coefficient on the interior nodes.
+    """
+
+    def __init__(self, n: int, x: np.ndarray) -> None:
+        self.lap, self.acc = np.zeros_like(x), np.zeros_like(x)
+        self.src_u, self.src_v = np.zeros_like(x), np.zeros_like(x)
+        self.v_phi = np.zeros_like(x)
+        self.abs_u, self.abs_v = np.zeros_like(x), np.zeros_like(x)
+        self.mask_u = np.zeros(x.shape, dtype=bool)
+        self.mask_v = np.zeros(x.shape, dtype=bool)
+        self.coef = None
+        if n >= 2:
+            self.coef = np.zeros_like(x)
+            self.coef[1:-1] = (n - 1) / x[1:-1]
 
 
 def make_field(n: int, h: float, dt: float, r_max: float) -> RadialField:
@@ -126,24 +169,50 @@ def _weights(n: int, x: np.ndarray, h: float) -> np.ndarray:
     return w
 
 
-def laplacian(field: RadialField, f: np.ndarray) -> np.ndarray:
-    """Second-order radial Laplacian; zero on the Dirichlet boundary rows."""
-    n, h, x = field.n, field.h, field.x
-    out = np.zeros_like(f)
-    out[1:-1] = (f[2:] - 2.0 * f[1:-1] + f[:-2]) / (h * h)
-    if n >= 2:
-        out[1:-1] += (n - 1) / x[1:-1] * (f[2:] - f[:-2]) / (2.0 * h)
-        # removable singularity at r = 0: even ghost gives n * f''(0)
-        out[0] = 2.0 * n * (f[1] - f[0]) / (h * h)
+def laplacian(field: RadialField, f: np.ndarray, out: np.ndarray | None = None,
+              rows: tuple[int, int] | None = None) -> np.ndarray:
+    """Second-order radial Laplacian; zero on the Dirichlet boundary rows.
+
+    With rows = (a, b) only rows a..b-1 of out are written (the stencil reads
+    f on a-1..b); by default a new whole-grid array is returned.
+    """
+    n, h = field.n, field.h
+    size = f.size
+    if out is None:
+        out = np.zeros_like(f)
+    a, b = (0, size) if rows is None else rows
+    lo, hi = max(a, 1), min(b, size - 1)
+    if lo < hi:
+        o = out[lo:hi]
+        np.multiply(2.0, f[lo:hi], out=o)
+        np.subtract(f[lo + 1:hi + 1], o, out=o)
+        np.add(o, f[lo - 1:hi - 1], out=o)
+        np.divide(o, h * h, out=o)
+        if n >= 2:
+            d = np.subtract(f[lo + 1:hi + 1], f[lo - 1:hi - 1],
+                            out=field.work.acc[lo:hi])
+            np.multiply(field.work.coef[lo:hi], d, out=d)
+            np.divide(d, 2.0 * h, out=d)
+            np.add(o, d, out=o)
+    if b == size:
+        out[-1] = 0.0
+    if a == 0:
+        if n >= 2:
+            # removable singularity at r = 0: even ghost gives n * f''(0)
+            out[0] = 2.0 * n * (f[1] - f[0]) / (h * h)
+        else:
+            out[0] = 0.0
     return out
 
 
-def _pow_abs(f: np.ndarray, e: float) -> np.ndarray:
+def _pow_abs(f: np.ndarray, e: float, out: np.ndarray | None = None) -> np.ndarray:
     if e == 2.0:
-        return f * f
+        return np.multiply(f, f, out=out)
+    a = np.abs(f, out=out)
     if e == 3.0:
-        return np.abs(f) * f * f
-    return np.abs(f) ** e
+        np.multiply(a, f, out=a)
+        return np.multiply(a, f, out=a)
+    return np.power(a, e, out=a)
 
 
 @dataclass(frozen=True)
@@ -165,6 +234,8 @@ def make_initial_data(params: ProblemParams, spec: InitialDataSpec,
         raise ValueError(f"CFL violation: need 0 < cfl < 1, got {numerics.cfl}")
     if h <= 0.0 or numerics.t_max <= 0.0 or numerics.threshold <= 0.0:
         raise ValueError("h, t_max and threshold must be positive")
+    if not numerics.support_tol >= 0.0:
+        raise ValueError("support_tol must be nonnegative")
     r_max = numerics.resolved_r_max(params.R)
     if r_max < params.R + numerics.t_max + h:
         raise ValueError("domain too small: the light cone reaches the boundary")
@@ -197,57 +268,151 @@ def step(field: RadialField, params: ProblemParams,
     into the implicit 1 + dt/2 divisor; v gets the plain leapfrog update.
     src_u / src_v override the computed sources |v|^p / |u|^q (used to add
     forcing, or to drop the coupling entirely with coupling=False).
+    u_next and v_next are written into the u_prev and v_prev arrays, which
+    then become field.u and field.v.
+
+    With field.span set, only the span widened by one node per side is
+    computed (the stencil is 3-point), src_u / src_v must vanish outside the
+    span, and the span is then trimmed of edge nodes where all four levels
+    are zero: ahead of the light cone the scheme's dust underflows to zero,
+    so the span stays close to the cone.
     """
-    p, q = params.p, params.q
+    size = field.x.size
+    if field.span is None:
+        a, b = 0, size
+    else:
+        a, b = max(field.span[0] - 1, 0), min(field.span[1] + 1, size)
     dt = field.dt
     if src_u is None:
-        src_u = _pow_abs(field.v, p) if coupling else np.zeros_like(field.v)
+        src_u = _pow_abs(field.v[a:b], params.p) if coupling else 0.0
+    else:
+        src_u = src_u[a:b]
     if src_v is None:
-        src_v = _pow_abs(field.u, q) if coupling else np.zeros_like(field.u)
-    lap_u = laplacian(field, field.u)
-    lap_v = laplacian(field, field.v)
-    u_next = (2.0 * field.u - field.u_prev + dt * dt * (lap_u + src_u)
-              + 0.5 * dt * field.u_prev) / (1.0 + 0.5 * dt)
-    v_next = 2.0 * field.v - field.v_prev + dt * dt * (lap_v + src_v)
-    u_next[-1] = v_next[-1] = 0.0
+        src_v = _pow_abs(field.u[a:b], params.q) if coupling else 0.0
+    else:
+        src_v = src_v[a:b]
+    wk = field.work
+    acc = wk.acc[a:b]
+
+    lap = laplacian(field, field.u, wk.lap, (a, b))[a:b]
+    np.add(lap, src_u, out=lap)
+    np.multiply(dt * dt, lap, out=lap)
+    u, u_prev = field.u[a:b], field.u_prev[a:b]
+    np.multiply(2.0, u, out=acc)
+    np.subtract(acc, u_prev, out=acc)
+    np.add(acc, lap, out=acc)
+    np.multiply(0.5 * dt, u_prev, out=lap)
+    np.add(acc, lap, out=acc)
+    np.divide(acc, 1.0 + 0.5 * dt, out=u_prev)
+
+    lap = laplacian(field, field.v, wk.lap, (a, b))[a:b]
+    np.add(lap, src_v, out=lap)
+    np.multiply(dt * dt, lap, out=lap)
+    np.multiply(2.0, field.v[a:b], out=acc)
+    np.subtract(acc, field.v_prev[a:b], out=acc)
+    np.add(acc, lap, out=field.v_prev[a:b])
+
+    field.u_prev[-1] = field.v_prev[-1] = 0.0
     if field.n == 1:
-        u_next[0] = v_next[0] = 0.0
-    field.u_prev, field.u = field.u, u_next
-    field.v_prev, field.v = field.v, v_next
+        field.u_prev[0] = field.v_prev[0] = 0.0
+    field.u_prev, field.u = field.u, field.u_prev
+    field.v_prev, field.v = field.v, field.v_prev
     field.k += 1
+    if field.span is not None:
+        field.span = _trim(field, a, b)
+
+
+def _trim(field: RadialField, a: int, b: int) -> tuple[int, int]:
+    """Shrink nodes a..b-1 to the exact nonzero span of the four levels and
+    zero the trimmed nodes of the buffers that must vanish outside it."""
+    u, u_prev, v, v_prev = field.u, field.u_prev, field.v, field.v_prev
+    lo, hi = a, b
+    # a float is falsy exactly when it is +-0.0 (nan is truthy)
+    while lo < hi and not (u[hi - 1] or u_prev[hi - 1] or v[hi - 1]
+                           or v_prev[hi - 1]):
+        hi -= 1
+    while lo < hi and not (u[lo] or u_prev[lo] or v[lo] or v_prev[lo]):
+        lo += 1
+    if lo > a or hi < b:
+        wk = field.work
+        for buf in (wk.src_u, wk.src_v, wk.v_phi):
+            buf[a:lo] = 0.0
+            buf[hi:b] = 0.0
+    return lo, hi
+
+
+def _nonzero_span(field: RadialField) -> tuple[int, int]:
+    nonzero = np.flatnonzero((field.u != 0.0) | (field.u_prev != 0.0)
+                             | (field.v != 0.0) | (field.v_prev != 0.0))
+    if nonzero.size == 0:
+        return 0, 0
+    return int(nonzero[0]), int(nonzero[-1]) + 1
 
 
 def functionals(field: RadialField, phi_values: np.ndarray | None = None):
-    """(U, V, V1) = (integral u, integral v, integral v * e^{-t} Phi)."""
+    """(U, V, V1) = (integral u, integral v, integral v * e^{-t} Phi).
+
+    v * Phi is formed on field.window only, so it stays finite where Phi
+    overflows but v has not arrived."""
     U = float(field.w @ field.u)
     V = float(field.w @ field.v)
     if phi_values is None:
         phi_values = PhiEvaluator(field.n).phi(np.abs(field.x))
-    V1 = math.exp(-field.t) * float(field.w @ (field.v * phi_values))
+    lo, hi = field.window
+    np.multiply(field.v[lo:hi], phi_values[lo:hi],
+                out=field.work.v_phi[lo:hi])
+    V1 = math.exp(-field.t) * float(field.w @ field.work.v_phi)
     return U, V, V1
 
 
-def support_radius(field: RadialField, tol: float = 1.0) -> float:
+def _magnitudes(field: RadialField):
+    """|u| and |v| on field.window (views of the field's buffers) and their
+    maxima."""
+    lo, hi = field.window
+    abs_u = np.abs(field.u[lo:hi], out=field.work.abs_u[lo:hi])
+    abs_v = np.abs(field.v[lo:hi], out=field.work.abs_v[lo:hi])
+    if lo == hi:
+        return abs_u, abs_v, 0.0, 0.0
+    return (abs_u, abs_v, float(np.maximum.reduce(abs_u)),
+            float(np.maximum.reduce(abs_v)))
+
+
+def support_radius(field: RadialField, tol: float = 1.0, mags=None) -> float:
     """Largest |x| carrying amplitude above the accumulated-truncation floor.
 
     An explicit scheme at Courant number < 1 moves strictly-nonzero values
     faster than the light cone, but only at amplitudes of the scheme's own
     global error, O(h^2 (1+t)) relative to the field maximum.  Nodal support
-    is therefore measured above the floor tol * h^2 * (1+t) * max-amplitude;
-    with that floor the cone containment R + t + 2h holds (and a transport or
-    stencil bug would still blast through it).
+    is therefore measured above the floor tol * h^2 * (1+t) * max-amplitude.
+    With that floor the excess over R + t stays within 2h for n = 1, 2, 3 up
+    to t = 5 (test_support_containment_within_two_h), but 2h is not a bound
+    in general: 3.1h was measured at n = 3, h = 0.01, t = 40 (the benchmark's
+    radial-n3 workload).  A transport or stencil bug would still blast far
+    through it.  tol must be nonnegative, since nodes outside field.window
+    count as zero amplitude.  mags = _magnitudes(field), when the caller has
+    it already.
     """
+    abs_u, abs_v, m_u, m_v = _magnitudes(field) if mags is None else mags
     floor = tol * field.h * field.h * (1.0 + field.t)
-    m_u = float(np.max(np.abs(field.u)))
-    m_v = float(np.max(np.abs(field.v)))
-    mask = np.zeros(field.x.shape, dtype=bool)
+    lo, hi = field.window
+    mask_u, mask_v = field.work.mask_u[lo:hi], field.work.mask_v[lo:hi]
     if m_u > 0.0:
-        mask |= np.abs(field.u) > floor * m_u
-    if m_v > 0.0:
-        mask |= np.abs(field.v) > floor * m_v
-    if not mask.any():
+        mask = np.greater(abs_u, floor * m_u, out=mask_u)
+        if m_v > 0.0:
+            np.logical_or(mask, np.greater(abs_v, floor * m_v, out=mask_v),
+                          out=mask)
+    elif m_v > 0.0:
+        mask = np.greater(abs_v, floor * m_v, out=mask_v)
+    else:
         return 0.0
-    return float(np.max(np.abs(field.x[mask])))
+    first = int(mask.argmax())
+    if not mask[first]:
+        return 0.0
+    # |x| is monotone (n >= 2) or V-shaped (n = 1) along the grid, so its
+    # maximum over the masked nodes sits at the first or the last of them
+    last = mask.size - 1 - int(mask[::-1].argmax())
+    x = field.x[lo:hi]
+    return float(max(abs(x[first]), abs(x[last])))
 
 
 def _cumtrapz(f: np.ndarray, dt: float) -> np.ndarray:
@@ -311,7 +476,6 @@ class FunctionalTrace:
     support_max_excess: float  # max over records of support radius - (R + t)
     du0: float
     dv0: float
-    t_blowup_refined: float | None = None  # optional h/2 sanity rerun
 
     @property
     def res_u_max(self) -> float:
@@ -323,21 +487,22 @@ class FunctionalTrace:
 
 
 def run(params: ProblemParams, spec: InitialDataSpec, numerics: Numerics,
-        phi_evaluator: PhiEvaluator | None = None,
-        refine_check: bool = False) -> FunctionalTrace:
+        phi_evaluator: PhiEvaluator | None = None) -> FunctionalTrace:
     """March to t_max or blow-up, recording functionals every step.
 
     Blow-up is flagged the first time max|u| + max|v| crosses the threshold
     (or any value goes non-finite); the optional functional threshold flags
     on U + V instead.  The reported time is threshold-dependent by design.
-    refine_check reruns at h/2 and attaches the detected time as a Richardson
-    sanity value (fits should only be trusted when the two agree).
+    Stepping and the per-step diagnostics cover the exact nonzero span only
+    (RadialField.span), taken from the initial data.
     """
     fld, moments = make_initial_data(params, spec, numerics)
     if phi_evaluator is None:
         phi_evaluator = PhiEvaluator(params.n)
     phi_vals = phi_evaluator.phi(np.abs(fld.x))
     n_steps = int(round(numerics.t_max / fld.dt))
+    fld.span = _nonzero_span(fld)
+    wk = fld.work
 
     times, Us, Vs, V1s = [], [], [], []
     mus, mvs, sus, svs = [], [], [], []
@@ -346,21 +511,22 @@ def run(params: ProblemParams, spec: InitialDataSpec, numerics: Numerics,
     max_excess = -math.inf
 
     for k in range(n_steps + 1):
-        pow_v = _pow_abs(fld.v, params.p)
-        pow_u = _pow_abs(fld.u, params.q)
+        lo, hi = fld.span
+        _pow_abs(fld.v[lo:hi], params.p, out=wk.src_u[lo:hi])
+        _pow_abs(fld.u[lo:hi], params.q, out=wk.src_v[lo:hi])
         U, V, V1 = functionals(fld, phi_vals)
-        m_u = float(np.max(np.abs(fld.u)))
-        m_v = float(np.max(np.abs(fld.v)))
+        mags = _magnitudes(fld)
+        m_u, m_v = mags[2], mags[3]
         times.append(fld.t)
         Us.append(U)
         Vs.append(V)
         V1s.append(V1)
         mus.append(m_u)
         mvs.append(m_v)
-        sus.append(float(fld.w @ pow_v))
-        svs.append(float(fld.w @ pow_u))
+        sus.append(float(fld.w @ wk.src_u))
+        svs.append(float(fld.w @ wk.src_v))
         max_excess = max(max_excess,
-                         support_radius(fld, numerics.support_tol)
+                         support_radius(fld, numerics.support_tol, mags)
                          - (params.R + fld.t))
         finite = math.isfinite(m_u) and math.isfinite(m_v)
         if not finite or m_u + m_v > numerics.threshold:
@@ -374,26 +540,17 @@ def run(params: ProblemParams, spec: InitialDataSpec, numerics: Numerics,
             break
         if k == n_steps:
             break
-        step(fld, params, src_u=pow_v, src_v=pow_u)
+        step(fld, params, src_u=wk.src_u, src_v=wk.src_v)
 
     times = np.asarray(times)
     U_arr, V_arr = np.asarray(Us), np.asarray(Vs)
     su_arr, sv_arr = np.asarray(sus), np.asarray(svs)
     res_u, res_v = balance_residuals(times, U_arr, V_arr, su_arr, sv_arr,
                                      moments.du0, moments.dv0)
-    refined = None
-    if refine_check:
-        finer = Numerics(h=0.5 * numerics.h, cfl=numerics.cfl,
-                         t_max=numerics.t_max, threshold=numerics.threshold,
-                         functional_threshold=numerics.functional_threshold,
-                         support_tol=numerics.support_tol,
-                         r_max=numerics.r_max)
-        refined = run(params, spec, finer, phi_evaluator).t_blowup
     return FunctionalTrace(times=times, U=U_arr, V=V_arr, V1=np.asarray(V1s),
                            max_u=np.asarray(mus), max_v=np.asarray(mvs),
                            src_u=su_arr, src_v=sv_arr,
                            res_u=res_u, res_v=res_v,
                            t_blowup=t_blowup, reason=reason,
                            support_max_excess=max_excess,
-                           du0=moments.du0, dv0=moments.dv0,
-                           t_blowup_refined=refined)
+                           du0=moments.du0, dv0=moments.dv0)

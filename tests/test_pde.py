@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from nakao.params import ProblemParams
-from nakao.pde import (BlowupReason, InitialDataSpec, Numerics, _pow_abs,
-                       laplacian, make_field, make_initial_data, run, step,
-                       support_radius)
+from nakao.pde import (BlowupReason, InitialDataSpec, Numerics, _nonzero_span,
+                       _pow_abs, functionals, laplacian, make_field,
+                       make_initial_data, run, step, support_radius)
+from nakao.testfn import PhiEvaluator
 
 P122 = ProblemParams(1, 2.0, 2.0, R=1.0, epsilon=0.2)
 SPEC = InitialDataSpec()
@@ -198,3 +199,256 @@ def test_radial_laplacian_consistency():
         vals = laplacian(fld, fld.x ** 2)
         inner = vals[:-1]
         assert np.allclose(inner, 2.0 * n, atol=1e-9)
+
+
+# --- span stepping against the whole-grid reference ------------------------
+# The reference below is the whole-grid arithmetic that run used before it
+# stepped only the nonzero span: every array allocated afresh, every pass over
+# the whole grid.  Span stepping must reproduce it bit for bit.
+
+def _ref_laplacian(fld, f):
+    n, h, x = fld.n, fld.h, fld.x
+    out = np.zeros_like(f)
+    out[1:-1] = (f[2:] - 2.0 * f[1:-1] + f[:-2]) / (h * h)
+    if n >= 2:
+        out[1:-1] += (n - 1) / x[1:-1] * (f[2:] - f[:-2]) / (2.0 * h)
+        out[0] = 2.0 * n * (f[1] - f[0]) / (h * h)
+    return out
+
+
+def _ref_pow_abs(f, e):
+    if e == 2.0:
+        return f * f
+    if e == 3.0:
+        return np.abs(f) * f * f
+    return np.abs(f) ** e
+
+
+def _ref_step(fld, params, src_u, src_v):
+    dt = fld.dt
+    u_next = (2.0 * fld.u - fld.u_prev
+              + dt * dt * (_ref_laplacian(fld, fld.u) + src_u)
+              + 0.5 * dt * fld.u_prev) / (1.0 + 0.5 * dt)
+    v_next = (2.0 * fld.v - fld.v_prev
+              + dt * dt * (_ref_laplacian(fld, fld.v) + src_v))
+    u_next[-1] = v_next[-1] = 0.0
+    if fld.n == 1:
+        u_next[0] = v_next[0] = 0.0
+    fld.u_prev, fld.u = fld.u, u_next
+    fld.v_prev, fld.v = fld.v, v_next
+    fld.k += 1
+
+
+def _ref_support_radius(fld, tol):
+    floor = tol * fld.h * fld.h * (1.0 + fld.t)
+    m_u = float(np.max(np.abs(fld.u)))
+    m_v = float(np.max(np.abs(fld.v)))
+    mask = np.zeros(fld.x.shape, dtype=bool)
+    if m_u > 0.0:
+        mask |= np.abs(fld.u) > floor * m_u
+    if m_v > 0.0:
+        mask |= np.abs(fld.v) > floor * m_v
+    if not mask.any():
+        return 0.0
+    return float(np.max(np.abs(fld.x[mask])))
+
+
+def _ref_run(params, spec, numerics):
+    """Whole-grid run loop; returns the trace fields and the final field."""
+    fld, _ = make_initial_data(params, spec, numerics)
+    phi_vals = PhiEvaluator(params.n).phi(np.abs(fld.x))
+    n_steps = int(round(numerics.t_max / fld.dt))
+    rec = {k: [] for k in ("times", "U", "V", "V1", "max_u", "max_v",
+                           "src_u", "src_v")}
+    t_blowup, reason, max_excess = None, BlowupReason.NONE, -math.inf
+    for k in range(n_steps + 1):
+        pow_v = _ref_pow_abs(fld.v, params.p)
+        pow_u = _ref_pow_abs(fld.u, params.q)
+        U, V = float(fld.w @ fld.u), float(fld.w @ fld.v)
+        m_u = float(np.max(np.abs(fld.u)))
+        m_v = float(np.max(np.abs(fld.v)))
+        for key, val in (("times", fld.t), ("U", U), ("V", V),
+                         ("V1", math.exp(-fld.t)
+                          * float(fld.w @ (fld.v * phi_vals))),
+                         ("max_u", m_u), ("max_v", m_v),
+                         ("src_u", float(fld.w @ pow_v)),
+                         ("src_v", float(fld.w @ pow_u))):
+            rec[key].append(val)
+        max_excess = max(max_excess,
+                         _ref_support_radius(fld, numerics.support_tol)
+                         - (params.R + fld.t))
+        if (not (math.isfinite(m_u) and math.isfinite(m_v))
+                or m_u + m_v > numerics.threshold):
+            t_blowup, reason = fld.t, BlowupReason.MAX_NORM
+            break
+        if (numerics.functional_threshold is not None
+                and U + V > numerics.functional_threshold):
+            t_blowup, reason = fld.t, BlowupReason.FUNCTIONAL
+            break
+        if k == n_steps:
+            break
+        _ref_step(fld, params, pow_v, pow_u)
+    rec = {key: np.asarray(vals) for key, vals in rec.items()}
+    rec.update(t_blowup=t_blowup, reason=reason, support_max_excess=max_excess)
+    return rec, fld
+
+
+def _bits(value):
+    return np.asarray(value, dtype=float).tobytes()
+
+
+ZERO = InitialDataSpec(amp_u0=0.0, amp_u1=0.0, amp_v0=0.0, amp_v1=0.0)
+COSINE = InitialDataSpec(shape="cosine")
+
+# (params, data, numerics, expected reason); p and q cover the 2, 3 and
+# generic branches of _pow_abs
+EQUIVALENCE_CASES = {
+    "n1-maxnorm": (ProblemParams(1, 2.0, 2.0, epsilon=0.5), SPEC,
+                   Numerics(h=0.05, t_max=10.0), BlowupReason.MAX_NORM),
+    "n1-cosine-p3-q1.5": (ProblemParams(1, 3.0, 1.5, epsilon=0.3), COSINE,
+                          Numerics(h=0.05, t_max=6.0), BlowupReason.NONE),
+    "n2-p1.5-q3": (ProblemParams(2, 1.5, 3.0, epsilon=0.3), SPEC,
+                   Numerics(h=0.05, t_max=6.0), BlowupReason.NONE),
+    "n3-functional": (ProblemParams(3, 2.0, 1.5, epsilon=0.5), COSINE,
+                      Numerics(h=0.05, t_max=10.0, functional_threshold=1.0),
+                      BlowupReason.FUNCTIONAL),
+    "n5-p3-q2": (ProblemParams(5, 3.0, 2.0, epsilon=0.5), SPEC,
+                 Numerics(h=0.05, t_max=4.0), BlowupReason.NONE),
+    "n1-zero-data": (P122, ZERO, Numerics(h=0.05, t_max=2.0),
+                     BlowupReason.NONE),
+    "n2-zero-data": (ProblemParams(2, 2.0, 2.0), ZERO,
+                     Numerics(h=0.05, t_max=2.0), BlowupReason.NONE),
+    # u starts at zero and v carries the data, so the four levels have
+    # different supports at the span's edges
+    "n1-v-data-only": (ProblemParams(1, 2.0, 2.0, epsilon=0.5),
+                       InitialDataSpec(amp_u0=0.0, amp_u1=0.0),
+                       Numerics(h=0.05, t_max=4.0), BlowupReason.NONE),
+    "n1-explicit-r-max": (P122, SPEC, Numerics(h=0.05, t_max=3.0, r_max=9.0),
+                          BlowupReason.NONE),
+    # the domain ends one node past the light cone, so the scheme's dust
+    # (and hence the span) reaches the Dirichlet wall
+    "n2-wall": (ProblemParams(2, 2.0, 2.0, epsilon=0.1), SPEC,
+                Numerics(h=0.05, t_max=6.0, r_max=7.05), BlowupReason.NONE),
+    "n1-wall": (P122, SPEC, Numerics(h=0.05, t_max=3.0, r_max=4.05),
+                BlowupReason.NONE),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EQUIVALENCE_CASES))
+def test_span_run_bit_identical_to_whole_grid(case):
+    params, spec, num, expected = EQUIVALENCE_CASES[case]
+    ref, fld = _ref_run(params, spec, num)
+    trace = run(params, spec, num)
+    assert trace.reason is ref["reason"] is expected
+    assert trace.t_blowup == ref["t_blowup"]
+    assert _bits(trace.support_max_excess) == _bits(ref["support_max_excess"])
+    for key in ("times", "U", "V", "V1", "max_u", "max_v", "src_u", "src_v"):
+        assert _bits(getattr(trace, key)) == _bits(ref[key]), key
+    if case.endswith("wall"):
+        assert fld.u[-2] != 0.0 and fld.v[-2] != 0.0
+    if case.endswith("zero-data"):
+        assert not np.any(np.signbit(trace.U)) and not np.any(trace.U)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_laplacian_rows_match_whole_grid_reference(n):
+    rng = np.random.default_rng(n)
+    fld = make_field(n, 0.05, 0.02, 2.0)
+    f = rng.standard_normal(fld.x.size)
+    ref = _ref_laplacian(fld, f)
+    assert _bits(laplacian(fld, f)) == _bits(ref)
+    size = f.size
+    out = np.full(size, np.nan)
+    for rows in ((0, 7), (5, 17), (size - 9, size), (0, size)):
+        laplacian(fld, f, out, rows)
+        assert _bits(out[rows[0]:rows[1]]) == _bits(ref[rows[0]:rows[1]])
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("coupling", [True, False])
+def test_whole_grid_step_matches_reference(n, coupling):
+    params = ProblemParams(n, 1.5, 3.0)
+    rng = np.random.default_rng(7)
+    fld, ref = (make_field(n, 0.05, 0.02, 2.0) for _ in range(2))
+    for name in ("u", "u_prev", "v", "v_prev"):
+        level = rng.standard_normal(fld.x.size)
+        setattr(fld, name, level)
+        setattr(ref, name, level.copy())
+    for _ in range(5):
+        step(fld, params, coupling=coupling)
+        zero = np.zeros_like(ref.u)
+        _ref_step(ref, params,
+                  _ref_pow_abs(ref.v, params.p) if coupling else zero,
+                  _ref_pow_abs(ref.u, params.q) if coupling else zero)
+    for name in ("u", "u_prev", "v", "v_prev"):
+        assert _bits(getattr(fld, name)) == _bits(getattr(ref, name))
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_span_stays_exact_and_sources_vanish_outside(n):
+    params = ProblemParams(n, 2.0, 2.0, epsilon=0.3)
+    fld, _ = make_initial_data(params, SPEC, Numerics(h=0.05, t_max=8.0))
+    fld.span = _nonzero_span(fld)
+    wk = fld.work
+    for _ in range(300):
+        lo, hi = fld.span
+        _pow_abs(fld.v[lo:hi], params.p, out=wk.src_u[lo:hi])
+        _pow_abs(fld.u[lo:hi], params.q, out=wk.src_v[lo:hi])
+        step(fld, params, src_u=wk.src_u, src_v=wk.src_v)
+        lo, hi = fld.span
+        assert fld.span == _nonzero_span(fld)
+        for buf in (wk.src_u, wk.src_v, wk.v_phi):
+            assert not buf[:lo].any() and not buf[hi:].any()
+    assert 0 < hi - lo < fld.x.size   # the span grew but stayed inside
+
+
+def test_trim_zeroes_buffers_of_dropped_nodes():
+    # nodes that leave the span keep no stale v * Phi (or source) values, so
+    # the whole-grid dots over those buffers stay exact
+    params = ProblemParams(1, 2.0, 2.0)
+    fld = make_field(1, 0.1, 0.045, 3.0)
+    c = fld.x.size // 2
+    levels = ("u", "u_prev", "v", "v_prev")
+    for name in levels:
+        getattr(fld, name)[c - 5:c + 6] = 1.0
+    fld.span = _nonzero_span(fld)
+    phi = np.ones_like(fld.x)
+    functionals(fld, phi)
+    for name in levels:
+        getattr(fld, name)[c - 5:c - 2] = 0.0
+        getattr(fld, name)[c + 3:c + 6] = 0.0
+    step(fld, params)
+    lo, hi = fld.span
+    assert (lo, hi) == _nonzero_span(fld) == (c - 3, c + 4)
+    for buf in (fld.work.src_u, fld.work.src_v, fld.work.v_phi):
+        assert not buf[:lo].any() and not buf[hi:].any()
+    V1 = functionals(fld, phi)[2]
+    assert V1 == math.exp(-fld.t) * float(fld.w @ (fld.v * phi))
+
+
+@pytest.mark.parametrize("side", [-1, 1])
+def test_support_radius_one_sided_data(side):
+    fld = make_field(1, 0.1, 0.045, 3.0)
+    fld.u = np.where(side * fld.x > 0.5, np.exp(-fld.x ** 2), 0.0)
+    fld.v = 0.5 * fld.u
+    expected = _ref_support_radius(fld, 1.0)
+    assert support_radius(fld) == expected
+    fld.span = _nonzero_span(fld)
+    assert support_radius(fld) == expected > 2.0
+
+
+def test_v1_finite_past_phi_overflow_radius():
+    # Phi overflows to inf beyond r ~ 709, where v is still zero; v * Phi is
+    # formed on the nonzero span only, so V1 stays finite while the span is
+    # short of that radius (the whole-grid product gave 0 * inf = nan)
+    params = ProblemParams(2, 2.0, 2.0, epsilon=0.1)
+    with np.errstate(over="ignore"):
+        far = run(params, SPEC, Numerics(h=0.1, t_max=3.0, r_max=800.0))
+    near = run(params, SPEC, Numerics(h=0.1, t_max=3.0, r_max=700.0))
+    assert np.all(np.isfinite(far.V1))
+    np.testing.assert_allclose(far.V1, near.V1, rtol=1e-12)
+
+
+def test_negative_support_tol_rejected():
+    with pytest.raises(ValueError):
+        make_initial_data(P122, SPEC, Numerics(t_max=1.0, support_tol=-1.0))
