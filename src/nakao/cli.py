@@ -234,8 +234,10 @@ def cmd_testfn(cfg: dict) -> int:
     ev = PhiEvaluator(cfg["n"])
     r = np.linspace(0.0, cfg["r_max"], cfg["num"])
     log_phi = ev.log_phi(r)
+    with np.errstate(over="ignore"):  # phi saturates to inf past r ~ 709
+        phi = np.exp(log_phi)
     write_csv(f"{cfg['out']}.csv", cfg, ["r", "phi", "log_phi"],
-              [r, np.exp(log_phi), log_phi])
+              [r, phi, log_phi])
     return 0
 
 

@@ -1,4 +1,6 @@
 import json
+import math
+import warnings
 from pathlib import Path
 
 import pytest
@@ -100,6 +102,23 @@ def test_testfn_csv(tmp_path):
     _, header, rows = read_csv(f"{out}.csv")
     assert header == ["r", "phi", "log_phi"]
     assert len(rows) == 5
+
+
+def test_testfn_overflowing_phi_is_inf_without_warning(tmp_path):
+    # Phi passes the float range near r = 709; its column saturates to inf
+    # quietly while log_phi stays finite
+    out = tmp_path / "phi"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert dispatch(["testfn", "--n", "1", "--r-max", "800", "--num",
+                         "101", "--out", str(out)]) == 0
+    _, _, rows = read_csv(f"{out}.csv")
+    phi = [float(row[1]) for row in rows]
+    log_phi = [float(row[2]) for row in rows]
+    assert [row[1] for row in rows].count("inf") == 12
+    assert all(math.isinf(v) == (r > 709.0) for v, r in
+               zip(phi, (float(row[0]) for row in rows)))
+    assert all(math.isfinite(v) for v in log_phi)
 
 
 def test_simulate_outputs(tmp_path):

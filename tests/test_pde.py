@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from nakao.params import ProblemParams
-from nakao.pde import (BlowupReason, InitialDataSpec, Numerics, _nonzero_span,
-                       _pow_abs, functionals, laplacian, make_field,
-                       make_initial_data, run, step, support_radius)
+from nakao.pde import (BlowupReason, InitialDataSpec, Numerics, RadialField,
+                       _nonzero_span, _pow_abs, balance_residuals,
+                       functionals, laplacian, make_field, make_initial_data,
+                       profile, run, step, support_radius)
 from nakao.testfn import PhiEvaluator
 
 P122 = ProblemParams(1, 2.0, 2.0, R=1.0, epsilon=0.2)
@@ -104,19 +105,23 @@ def test_linear_damped_energy_nonincreasing():
     h = 0.02
     params = ProblemParams(1, 2.0, 2.0)
     fld = make_field(1, h, 0.45 * h, 4.0)
-    prof = np.exp(-(fld.x / 0.8) ** 2) * (np.abs(fld.x) < 3.0)
+    prof = np.exp(-(fld.x / 0.8) ** 2) * (fld.x < 3.0)
     fld.u = prof.copy()
     fld.u_prev = prof.copy()
+    zero = np.zeros_like(fld.x)
 
+    # the full-line energy folded onto the half line: the kinetic term takes
+    # the weights w (the origin node once, the others twice), and every edge
+    # appears twice on the line, so the half-line edge sum is not halved
     def energy():
         du = (fld.u - fld.u_prev) / fld.dt
         grad = np.sum((fld.u[1:] - fld.u[:-1])
                       * (fld.u_prev[1:] - fld.u_prev[:-1])) / h
-        return 0.5 * float(np.sum(du * du)) * h + 0.5 * float(grad)
+        return 0.5 * float(fld.w @ (du * du)) + float(grad)
 
     prev = math.inf
     for _ in range(1500):
-        step(fld, params, coupling=False)
+        step(fld, params, zero, zero)
         e = energy()
         assert e <= prev + 1e-12
         prev = e
@@ -132,6 +137,19 @@ def test_balance_residuals_second_order():
         ratio = res[0.02][i] / res[0.01][i]
         assert 3.4 <= ratio <= 4.6   # ~4x per halving
     assert res[0.01][0] < 1e-5 and res[0.01][1] < 1e-5
+
+
+def test_balance_residual_normalization():
+    times = np.arange(5) * 0.1
+    z = np.zeros(5)
+    U = np.array([0.0, 1e-3, 4e-3, 9e-3, 1.6e-2])
+    # an all-zero right-hand side normalizes by 1, not by the 1e-300 floor
+    res_u, res_v = balance_residuals(times, U, z, z, z, 0.0, 0.0)
+    assert np.max(np.abs(res_u)) < 1.0 and not res_v.any()
+    # a nan right-hand side gives nan residuals, never a finite one
+    nan_src = np.array([0.0, np.nan, 0.0, 0.0, 0.0])
+    res_u, res_v = balance_residuals(times, U, z, nan_src, nan_src, 0.0, 0.0)
+    assert np.all(np.isnan(res_u)) and np.all(np.isnan(res_v))
 
 
 def test_functional_positivity_and_monotone_v_slope():
@@ -204,7 +222,8 @@ def test_radial_laplacian_consistency():
 # --- span stepping against the whole-grid reference ------------------------
 # The reference below is the whole-grid arithmetic that run used before it
 # stepped only the nonzero span: every array allocated afresh, every pass over
-# the whole grid.  Span stepping must reproduce it bit for bit.
+# the whole grid, and the even-ghost origin row for every n.  Span stepping
+# must reproduce it bit for bit.
 
 def _ref_laplacian(fld, f):
     n, h, x = fld.n, fld.h, fld.x
@@ -212,7 +231,7 @@ def _ref_laplacian(fld, f):
     out[1:-1] = (f[2:] - 2.0 * f[1:-1] + f[:-2]) / (h * h)
     if n >= 2:
         out[1:-1] += (n - 1) / x[1:-1] * (f[2:] - f[:-2]) / (2.0 * h)
-        out[0] = 2.0 * n * (f[1] - f[0]) / (h * h)
+    out[0] = 2.0 * n * (f[1] - f[0]) / (h * h)
     return out
 
 
@@ -224,16 +243,15 @@ def _ref_pow_abs(f, e):
     return np.abs(f) ** e
 
 
-def _ref_step(fld, params, src_u, src_v):
+def _ref_step(fld, params, src_u, src_v, walls=(-1,)):
+    """One whole-grid step; the rows in walls are held at zero."""
     dt = fld.dt
     u_next = (2.0 * fld.u - fld.u_prev
               + dt * dt * (_ref_laplacian(fld, fld.u) + src_u)
               + 0.5 * dt * fld.u_prev) / (1.0 + 0.5 * dt)
     v_next = (2.0 * fld.v - fld.v_prev
               + dt * dt * (_ref_laplacian(fld, fld.v) + src_v))
-    u_next[-1] = v_next[-1] = 0.0
-    if fld.n == 1:
-        u_next[0] = v_next[0] = 0.0
+    u_next[list(walls)] = v_next[list(walls)] = 0.0
     fld.u_prev, fld.u = fld.u, u_next
     fld.v_prev, fld.v = fld.v, v_next
     fld.k += 1
@@ -253,9 +271,35 @@ def _ref_support_radius(fld, tol):
     return float(np.max(np.abs(fld.x[mask])))
 
 
-def _ref_run(params, spec, numerics):
-    """Whole-grid run loop; returns the trace fields and the final field."""
-    fld, _ = make_initial_data(params, spec, numerics)
+def _full_line_initial_data(params, spec, numerics):
+    """The retired n = 1 layout: the signed grid -m h..m h, trapezoid weights
+    h with halved ends, and both end rows of the back level held at zero."""
+    h = numerics.h
+    dt = numerics.cfl * h
+    m = math.ceil(numerics.resolved_r_max(params.R) / h)
+    fld = RadialField(n=1, h=h, dt=dt, x=(np.arange(2 * m + 1) - m) * h,
+                      w=np.full(2 * m + 1, h), u=None, u_prev=None, v=None,
+                      v_prev=None)
+    fld.w[[0, -1]] *= 0.5
+    base = profile(spec.shape, fld.x, params.R)
+    u0, u1, v0, v1 = (params.epsilon * amp * base for amp in
+                      (spec.amp_u0, spec.amp_u1, spec.amp_v0, spec.amp_v1))
+    fld.u, fld.v = u0.copy(), v0.copy()
+    fld.u_prev = (u0 - dt * u1 + 0.5 * dt * dt * (
+        _ref_laplacian(fld, u0) - u1 + _ref_pow_abs(v0, params.p)))
+    fld.v_prev = (v0 - dt * v1 + 0.5 * dt * dt * (
+        _ref_laplacian(fld, v0) + _ref_pow_abs(u0, params.q)))
+    fld.u_prev[[0, -1]] = fld.v_prev[[0, -1]] = 0.0
+    return fld
+
+
+def _ref_run(params, spec, numerics, full_line=False):
+    """Whole-grid run loop; returns the trace fields and the final field.
+    full_line runs n = 1 on the retired full-interval layout."""
+    if full_line:
+        fld, walls = _full_line_initial_data(params, spec, numerics), (0, -1)
+    else:
+        fld, walls = make_initial_data(params, spec, numerics)[0], (-1,)
     phi_vals = PhiEvaluator(params.n).phi(np.abs(fld.x))
     n_steps = int(round(numerics.t_max / fld.dt))
     rec = {k: [] for k in ("times", "U", "V", "V1", "max_u", "max_v",
@@ -287,7 +331,7 @@ def _ref_run(params, spec, numerics):
             break
         if k == n_steps:
             break
-        _ref_step(fld, params, pow_v, pow_u)
+        _ref_step(fld, params, pow_v, pow_u, walls)
     rec = {key: np.asarray(vals) for key, vals in rec.items()}
     rec.update(t_blowup=t_blowup, reason=reason, support_max_excess=max_excess)
     return rec, fld
@@ -350,6 +394,38 @@ def test_span_run_bit_identical_to_whole_grid(case):
         assert not np.any(np.signbit(trace.U)) and not np.any(trace.U)
 
 
+# n = 1 on the half line against the retired full-interval layout: even data
+# folds exactly, so only roundoff separates them; it grows with the solution
+# on the way to a max-norm blow-up, hence the looser rtol there
+FULL_LINE_CASES = {
+    "n1-maxnorm": EQUIVALENCE_CASES["n1-maxnorm"] + (1e-9,),
+    "n1-cosine-p3-q1.5": EQUIVALENCE_CASES["n1-cosine-p3-q1.5"] + (1e-12,),
+    "n1-functional": (ProblemParams(1, 2.0, 2.0, epsilon=0.5), SPEC,
+                      Numerics(h=0.02, t_max=60.0, functional_threshold=5.0),
+                      BlowupReason.FUNCTIONAL, 1e-12),
+    # the eps = 0.1 rung of the reference ladder (t_blowup = 21.753)
+    "n1-ladder-eps0.1": (ProblemParams(1, 2.0, 2.0, epsilon=0.1), SPEC,
+                         Numerics(h=0.02, t_max=60.0), BlowupReason.MAX_NORM,
+                         1e-9),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FULL_LINE_CASES))
+def test_half_line_n1_matches_full_interval(case):
+    params, spec, num, expected, rtol = FULL_LINE_CASES[case]
+    ref, _ = _ref_run(params, spec, num, full_line=True)
+    trace = run(params, spec, num)
+    assert trace.reason is ref["reason"] is expected
+    assert trace.t_blowup == ref["t_blowup"]
+    assert _bits(trace.support_max_excess) == _bits(ref["support_max_excess"])
+    assert _bits(trace.times) == _bits(ref["times"])
+    for key in ("U", "V", "V1", "max_u", "max_v", "src_u", "src_v"):
+        np.testing.assert_allclose(getattr(trace, key), ref[key], rtol=rtol,
+                                   atol=0, err_msg=key)
+    if case == "n1-ladder-eps0.1":
+        assert trace.t_blowup == pytest.approx(21.753, abs=1e-9)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 5])
 def test_laplacian_rows_match_whole_grid_reference(n):
     rng = np.random.default_rng(n)
@@ -374,12 +450,15 @@ def test_whole_grid_step_matches_reference(n, coupling):
         level = rng.standard_normal(fld.x.size)
         setattr(fld, name, level)
         setattr(ref, name, level.copy())
+    zero = np.zeros_like(ref.u)
     for _ in range(5):
-        step(fld, params, coupling=coupling)
-        zero = np.zeros_like(ref.u)
-        _ref_step(ref, params,
-                  _ref_pow_abs(ref.v, params.p) if coupling else zero,
-                  _ref_pow_abs(ref.u, params.q) if coupling else zero)
+        if coupling:
+            step(fld, params)
+            _ref_step(ref, params, _ref_pow_abs(ref.v, params.p),
+                      _ref_pow_abs(ref.u, params.q))
+        else:
+            step(fld, params, zero, zero)
+            _ref_step(ref, params, zero, zero)
     for name in ("u", "u_prev", "v", "v_prev"):
         assert _bits(getattr(fld, name)) == _bits(getattr(ref, name))
 
@@ -426,10 +505,10 @@ def test_trim_zeroes_buffers_of_dropped_nodes():
     assert V1 == math.exp(-fld.t) * float(fld.w @ (fld.v * phi))
 
 
-@pytest.mark.parametrize("side", [-1, 1])
-def test_support_radius_one_sided_data(side):
+def test_support_radius_one_sided_data():
+    # data only beyond r = 0.5, so the mask and the span start past node 0
     fld = make_field(1, 0.1, 0.045, 3.0)
-    fld.u = np.where(side * fld.x > 0.5, np.exp(-fld.x ** 2), 0.0)
+    fld.u = np.where(fld.x > 0.5, np.exp(-fld.x ** 2), 0.0)
     fld.v = 0.5 * fld.u
     expected = _ref_support_radius(fld, 1.0)
     assert support_radius(fld) == expected
