@@ -23,10 +23,9 @@ from .lifespan import InconclusiveSweep, sweep
 from .output import write_csv, write_json
 from .params import ProblemParams, admissible_cap
 from .pde import InitialDataSpec, Numerics, run
-from .slicing import (ConstantMode, InitMode, IterationConfig,
-                      closed_form_exponents, even_beta_b, iterate,
-                      iteration_bounds, lifespan_upper_bound, log_lower_bounds,
-                      product_limit, thresholds)
+from .slicing import (InitMode, IterationConfig, closed_form_deviation,
+                      iterate, iteration_bounds, lifespan_upper_bound,
+                      log_lower_bounds, product_limit, thresholds)
 from .svg import scatter_svg
 from .testfn import PhiEvaluator
 
@@ -209,17 +208,9 @@ def cmd_sequences(cfg: dict) -> int:
     bounds = iteration_bounds(config)
     rows = []
     for st in states:
-        if st.j % 2 == 1:
-            lo_u, lo_v = log_lower_bounds(st.j, config, bounds)
-            cf = closed_form_exponents(st.j, config)
-            rec = (st.alpha, st.a, st.beta, st.b)
-            ok = all(abs(a - b) <= 1e-10 * max(1.0, abs(b))
-                     for a, b in zip(cf, rec))
-        else:
-            lo_u = lo_v = None
-            cf = even_beta_b(st.j, config)
-            ok = all(abs(a - b) <= 1e-10 * max(1.0, abs(b))
-                     for a, b in zip(cf, (st.beta, st.b)))
+        lo_u, lo_v = (log_lower_bounds(st.j, config, bounds) if st.j % 2 == 1
+                      else (None, None))
+        ok = closed_form_deviation(st, config) <= 1e-10  # NaN fails
         rows.append((st.j, st.ell, st.L, st.alpha, st.a, st.beta, st.b,
                      st.log_d, st.log_q, lo_u, lo_v, "ok" if ok else "FAIL"))
     write_csv(f"{cfg['out']}.csv", cfg,

@@ -38,7 +38,6 @@ class Numerics:
     t_max: float = 40.0
     threshold: float = 1e8
     functional_threshold: float | None = None
-    support_tol: float = 1.0   # multiplier on the h^2 (1+t) truncation floor
     r_max: float | None = None
 
     def resolved_r_max(self, R: float) -> float:
@@ -228,8 +227,6 @@ def make_initial_data(params: ProblemParams, spec: InitialDataSpec,
         raise ValueError(f"CFL violation: need 0 < cfl < 1, got {numerics.cfl}")
     if h <= 0.0 or numerics.t_max <= 0.0 or numerics.threshold <= 0.0:
         raise ValueError("h, t_max and threshold must be positive")
-    if not numerics.support_tol >= 0.0:
-        raise ValueError("support_tol must be nonnegative")
     r_max = numerics.resolved_r_max(params.R)
     if r_max < params.R + numerics.t_max + h:
         raise ValueError("domain too small: the light cone reaches the boundary")
@@ -338,15 +335,14 @@ def _nonzero_span(field: RadialField) -> tuple[int, int]:
     return int(nonzero[0]), int(nonzero[-1]) + 1
 
 
-def functionals(field: RadialField, phi_values: np.ndarray | None = None):
-    """(U, V, V1) = (integral u, integral v, integral v * e^{-t} Phi).
+def functionals(field: RadialField, phi_values: np.ndarray):
+    """(U, V, V1) = (integral u, integral v, integral v * e^{-t} Phi), with
+    phi_values = Phi(field.x).
 
     v * Phi is formed on field.window only, so it stays finite where Phi
     overflows but v has not arrived."""
     U = float(field.w @ field.u)
     V = float(field.w @ field.v)
-    if phi_values is None:
-        phi_values = PhiEvaluator(field.n).phi(field.x)
     lo, hi = field.window
     np.multiply(field.v[lo:hi], phi_values[lo:hi],
                 out=field.work.v_phi[lo:hi])
@@ -472,8 +468,8 @@ class FunctionalTrace:
         return float(np.max(np.abs(self.res_v))) if self.res_v.size else 0.0
 
 
-def run(params: ProblemParams, spec: InitialDataSpec, numerics: Numerics,
-        phi_evaluator: PhiEvaluator | None = None) -> FunctionalTrace:
+def run(params: ProblemParams, spec: InitialDataSpec,
+        numerics: Numerics) -> FunctionalTrace:
     """March to t_max or blow-up, recording functionals every step.
 
     Blow-up is flagged the first time max|u| + max|v| crosses the threshold
@@ -483,9 +479,7 @@ def run(params: ProblemParams, spec: InitialDataSpec, numerics: Numerics,
     (RadialField.span), taken from the initial data.
     """
     fld, moments = make_initial_data(params, spec, numerics)
-    if phi_evaluator is None:
-        phi_evaluator = PhiEvaluator(params.n)
-    phi_vals = phi_evaluator.phi(fld.x)
+    phi_vals = PhiEvaluator(params.n).phi(fld.x)
     n_steps = int(round(numerics.t_max / fld.dt))
     fld.span = _nonzero_span(fld)
     wk = fld.work
@@ -512,7 +506,7 @@ def run(params: ProblemParams, spec: InitialDataSpec, numerics: Numerics,
         sus.append(float(fld.w @ wk.src_u))
         svs.append(float(fld.w @ wk.src_v))
         max_excess = max(max_excess,
-                         support_radius(fld, numerics.support_tol, mags)
+                         support_radius(fld, mags=mags)
                          - (params.R + fld.t))
         finite = math.isfinite(m_u) and math.isfinite(m_v)
         if not finite or m_u + m_v > numerics.threshold:

@@ -247,6 +247,21 @@ def even_beta_b(j: int, config: IterationConfig):
             (c_beta + beta1) / params.p * g - c_b)
 
 
+def closed_form_deviation(state: SlicingState, config: IterationConfig) -> float:
+    """Worst relative deviation |x - closed form| / max(1, |x|) of the state's
+    exponents from their closed forms: alpha, a, beta, b for odd j (see
+    closed_form_exponents), beta, b for even j (see even_beta_b).  NaN if any
+    deviation is NaN."""
+    if state.j % 2 == 1:
+        cf = closed_form_exponents(state.j, config)
+        rec = (state.alpha, state.a, state.beta, state.b)
+    else:
+        cf = even_beta_b(state.j, config)
+        rec = (state.beta, state.b)
+    devs = [abs(c - x) / max(1.0, abs(x)) for c, x in zip(cf, rec)]
+    return math.nan if any(math.isnan(d) for d in devs) else max(devs)
+
+
 def weighted_sum(j: int, pq: float):
     """(brute-force, closed-form) values of
     sum_{k=1}^{(j-1)/2} (j+2-2k)(pq)^{k-1}

@@ -7,6 +7,7 @@ finite far out.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -14,66 +15,68 @@ import numpy as np
 
 from .params import sphere_area
 
+_START_ORDER = 64      # first polar Gauss order tried ...
+_MAX_ORDER = 4096      # ... doubled up to this before refusing
+_HOLDER_PANEL = 0.5    # widest radial panel of psi_holder_norm
+_HOLDER_ORDER = 16     # Gauss points per panel
+
+
+@functools.cache
+def _gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1], shared read-only."""
+    x, w = np.polynomial.legendre.leggauss(order)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
 
 @dataclass
 class PhiEvaluator:
-    """Quadrature-backed evaluator of Phi for one dimension n.
+    """Evaluator of Phi for one dimension n, fixed at construction.
 
-    The polar-angle integral uses Gauss-Legendre of order `order`; whenever a
-    radius beyond the validated range is requested the order is doubled until
-    two consecutive orders agree to 1e-12 relative (the integrand needs more
-    nodes as r grows).  Beyond `r_switch` the calibrated asymptotic form
-    K * r^{-(n-1)/2} e^r takes over to keep large-radius evaluation cheap.
+    n = 1 is the closed form 2 cosh(r).  Above, the polar-angle integral uses
+    one Gauss-Legendre rule: starting at order 64, the order is doubled until
+    two consecutive orders agree to 1e-12 relative at r_switch, the largest
+    radius the rule serves (the integrand needs more nodes as r grows), and
+    construction raises ValueError if order 4096 is reached first.  Beyond
+    r_switch the asymptotic form K r^{-(n-1)/2} e^r takes over, with K
+    calibrated so the two branches agree at r_switch.
     """
 
     n: int
-    order: int = 64
-    r_switch: float = 200.0
-    max_order: int = 4096
-    # the active rule is swapped as one reference so concurrent readers never
-    # see mismatched nodes/weights
-    _rule: tuple = field(init=False, repr=False, default=None)
-    _validated_r: float = field(init=False, default=0.0)
+    order: int | None = field(init=False, default=None)  # None at n = 1
+    r_switch: float = field(init=False, default=200.0)  # last quadrature radius
     _log_k: float | None = field(init=False, default=None, repr=False)
 
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError(f"dimension must be >= 1, got {self.n}")
-        if self.n >= 2:
-            self._rule = self._make_rule(self.order)
+        if self.n == 1:
+            return
+        probe = np.array([self.r_switch])
+        order = _START_ORDER
+        at_switch = self._log_phi_quad(probe, order)[0]
+        while True:
+            if order >= _MAX_ORDER:
+                raise ValueError(
+                    f"Phi quadrature for n = {self.n} not converged at "
+                    f"r = {self.r_switch} by order {order}")
+            doubled = self._log_phi_quad(probe, 2 * order)[0]
+            if abs(at_switch - doubled) <= 1e-12 * max(1.0, abs(doubled)):
+                break
+            order, at_switch = 2 * order, doubled
+        self.order = order
+        self._log_k = float(at_switch - self.r_switch
+                            + 0.5 * (self.n - 1) * math.log(self.r_switch))
 
-    @staticmethod
-    def _make_rule(order: int) -> tuple:
-        x, w = np.polynomial.legendre.leggauss(order)
-        # map [-1, 1] -> [0, pi]
-        return order, 0.5 * math.pi * (x + 1.0), 0.5 * math.pi * w
-
-    def _log_phi_quad(self, r: np.ndarray, rule: tuple | None = None) -> np.ndarray:
+    def _log_phi_quad(self, r: np.ndarray, order: int) -> np.ndarray:
+        x, w = _gauss_legendre(order)
+        theta = 0.5 * math.pi * (x + 1.0)  # [-1, 1] -> [0, pi]
         # factor out e^r: the integrand e^{r(cos t - 1)} sin^{n-2} t lies in [0, 1]
-        _, theta, weights = rule if rule is not None else self._rule
         core = np.exp(r[:, None] * (np.cos(theta)[None, :] - 1.0))
         if self.n > 2:
             core = core * np.sin(theta)[None, :] ** (self.n - 2)
-        s = core @ weights
+        s = core @ (0.5 * math.pi * w)
         return r + np.log(sphere_area(self.n - 1) * s)
-
-    def _ensure_order(self, r_max: float) -> None:
-        if r_max <= self._validated_r:
-            return
-        probe = np.array([max(r_max, 1.0)])
-        rule = self._rule
-        while True:
-            a = self._log_phi_quad(probe, rule)[0]
-            doubled = self._make_rule(2 * rule[0])
-            b = self._log_phi_quad(probe, doubled)[0]
-            if abs(a - b) <= 1e-12 * max(1.0, abs(b)):
-                break
-            rule = doubled
-            if rule[0] >= self.max_order:
-                break
-        self._rule = rule
-        self.order = rule[0]
-        self._validated_r = max(r_max, 1.0)
 
     def log_phi(self, r):
         """log Phi(r), elementwise, finite for any radius."""
@@ -85,27 +88,14 @@ class PhiEvaluator:
         else:
             out = np.empty_like(arr)
             near = arr <= self.r_switch
-            if np.any(near):
-                self._ensure_order(float(np.max(arr[near])))
-                out[near] = self._log_phi_quad(arr[near])
-            if np.any(~near):
-                far = arr[~near]
-                out[~near] = (self._asymptotic_log_k() + far
-                              - 0.5 * (self.n - 1) * np.log(far))
+            out[near] = self._log_phi_quad(arr[near], self.order)
+            far = arr[~near]
+            out[~near] = self._log_k + far - 0.5 * (self.n - 1) * np.log(far)
         return out[0] if np.isscalar(r) or np.ndim(r) == 0 else out
 
     def phi(self, r):
         """Phi(r) itself (overflows past r ~ 709 like e^r does)."""
         return np.exp(self.log_phi(r))
-
-    def _asymptotic_log_k(self) -> float:
-        # calibrate K once so the two branches agree at the switch radius
-        if self._log_k is None:
-            self._ensure_order(self.r_switch)
-            at_switch = self._log_phi_quad(np.array([self.r_switch]))[0]
-            self._log_k = float(at_switch - self.r_switch
-                                + 0.5 * (self.n - 1) * math.log(self.r_switch))
-        return self._log_k
 
     def asymptotic_ratio(self, r):
         """r^{(n-1)/2} e^{-r} Phi(r); tends to a positive constant."""
@@ -139,19 +129,19 @@ def wave_residual(evaluator: PhiEvaluator, r_grid, t: float, h: float,
     return float(np.max(np.abs(psi_tt - lap)))
 
 
-def psi_holder_norm(evaluator: PhiEvaluator, t: float, p: float, R: float,
-                    panel: float = 0.5, order: int = 16) -> float:
+def psi_holder_norm(evaluator: PhiEvaluator, t: float, p: float,
+                    R: float) -> float:
     """integral of |Psi(t,.)|^{p'} over the ball of radius R+t (p' = p/(p-1)).
 
-    Composite Gauss-Legendre in the radius with panels of width <= `panel`;
-    the integrand is evaluated in log space so large t is safe.
+    Composite 16-point Gauss-Legendre in the radius with panels of width
+    <= 0.5; the integrand is evaluated in log space so large t is safe.
     """
     if t < 0.0 or p <= 1.0 or R <= 0.0:
         raise ValueError("need t >= 0, p > 1, R > 0")
     pp = p / (p - 1.0)
     upper = R + t
-    x, w = np.polynomial.legendre.leggauss(order)
-    m = max(1, int(math.ceil(upper / panel)))
+    x, w = _gauss_legendre(_HOLDER_ORDER)
+    m = max(1, int(math.ceil(upper / _HOLDER_PANEL)))
     edges = np.linspace(0.0, upper, m + 1)
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[1] - edges[0])

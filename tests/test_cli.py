@@ -1,6 +1,7 @@
 import json
 import math
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -93,6 +94,22 @@ def test_sequences_closed_form_column(tmp_path, mode):
     assert all(r[-1] == "ok" for r in rows)
     # lower-bound columns only on odd rows
     assert rows[1][9] == "" and rows[0][9] != ""
+
+
+def test_sequences_nan_state_fails_closed_form_check(tmp_path, monkeypatch):
+    real = cli.iterate
+
+    def with_nan(config, j_max):
+        states = real(config, j_max)
+        states[2] = replace(states[2], alpha=math.nan)
+        return states
+
+    monkeypatch.setattr(cli, "iterate", with_nan)
+    out = tmp_path / "seq"
+    assert dispatch(["sequences", "--n", "1", "--p", "2", "--q", "2",
+                     "--jmax", "5", "--out", str(out)]) == 0
+    _, _, rows = read_csv(f"{out}.csv")
+    assert [r[-1] for r in rows] == ["ok", "ok", "FAIL", "ok", "ok"]
 
 
 def test_testfn_csv(tmp_path):

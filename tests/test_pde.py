@@ -319,7 +319,7 @@ def _ref_run(params, spec, numerics, full_line=False):
                          ("src_v", float(fld.w @ pow_u))):
             rec[key].append(val)
         max_excess = max(max_excess,
-                         _ref_support_radius(fld, numerics.support_tol)
+                         _ref_support_radius(fld, 1.0)
                          - (params.R + fld.t))
         if (not (math.isfinite(m_u) and math.isfinite(m_v))
                 or m_u + m_v > numerics.threshold):
@@ -526,8 +526,3 @@ def test_v1_finite_past_phi_overflow_radius():
     near = run(params, SPEC, Numerics(h=0.1, t_max=3.0, r_max=700.0))
     assert np.all(np.isfinite(far.V1))
     np.testing.assert_allclose(far.V1, near.V1, rtol=1e-12)
-
-
-def test_negative_support_tol_rejected():
-    with pytest.raises(ValueError):
-        make_initial_data(P122, SPEC, Numerics(t_max=1.0, support_tol=-1.0))

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -6,9 +7,9 @@ from hypothesis import strategies as st
 
 from nakao.params import ProblemParams
 from nakao.slicing import (ConstantMode, DataConstants, InitMode,
-                           IterationConfig, closed_form_exponents,
-                           even_beta_b, initial_state, iterate,
-                           iteration_bounds, lifespan_upper_bound,
+                           IterationConfig, closed_form_deviation,
+                           closed_form_exponents, even_beta_b, initial_state,
+                           iterate, iteration_bounds, lifespan_upper_bound,
                            log_functional_bound_u, log_lower_bounds,
                            partial_product, product_limit, slice_factor,
                            step, thresholds, weighted_sum)
@@ -129,6 +130,21 @@ def test_closed_forms_match_recursion(n, p, q, mode):
             eb, ebb = even_beta_b(s.j, cfg)
             assert eb == pytest.approx(s.beta, rel=1e-10)
             assert ebb == pytest.approx(s.b, rel=1e-10)
+
+
+def test_closed_form_deviation_flags_drift_and_nan():
+    cfg = _cfg(2, 2.0, 2.0)
+    odd, even = iterate(cfg, 4)[2:]
+    assert (odd.j, even.j) == (3, 4)
+    assert closed_form_deviation(odd, cfg) <= 1e-10
+    assert closed_form_deviation(even, cfg) <= 1e-10
+    drift = replace(odd, a=odd.a + 1e-6 * abs(odd.a))
+    assert closed_form_deviation(drift, cfg) == pytest.approx(1e-6, rel=1e-3)
+    # even j has no closed form for alpha, a
+    assert (closed_form_deviation(replace(even, alpha=math.nan), cfg)
+            == closed_form_deviation(even, cfg))
+    assert math.isnan(closed_form_deviation(replace(odd, b=math.nan), cfg))
+    assert math.isnan(closed_form_deviation(replace(even, beta=math.nan), cfg))
 
 
 def test_weighted_sum_hand_values():

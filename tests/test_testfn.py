@@ -5,6 +5,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import i0
 
+from nakao import testfn
 from nakao.params import sphere_area
 from nakao.testfn import (PhiEvaluator, c2_constant, holder_ratio,
                           laplacian_residual, psi_holder_norm, wave_residual)
@@ -128,13 +129,40 @@ def test_phi_large_radius_against_scaled_bessel():
     assert ev.log_phi(500.0) == pytest.approx(exact500, abs=1e-3)
 
 
-def test_quadrature_auto_refinement():
+def test_quadrature_auto_refinement(monkeypatch):
     from scipy.special import i0e
-    ev = PhiEvaluator(2, order=8)
-    val = ev.log_phi(40.0)
-    assert ev.order > 8   # the starting order cannot resolve r = 40
+    monkeypatch.setattr(testfn, "_START_ORDER", 8)
+    ev = PhiEvaluator(2)
+    assert ev.order > 8   # the starting order cannot resolve r_switch
     exact = math.log(2 * math.pi) + math.log(i0e(40.0)) + 40.0
-    assert val == pytest.approx(exact, abs=1e-10)
+    assert ev.log_phi(40.0) == pytest.approx(exact, abs=1e-10)
+
+
+def test_unconverged_quadrature_refused(monkeypatch):
+    monkeypatch.setattr(testfn, "_START_ORDER", 8)
+    monkeypatch.setattr(testfn, "_MAX_ORDER", 16)
+    with pytest.raises(ValueError, match="not converged"):
+        PhiEvaluator(2)
+    assert PhiEvaluator(1).phi(1.0) == pytest.approx(2 * math.cosh(1.0))
+
+
+def test_log_phi_independent_of_call_history():
+    # n = 22 is the first dimension whose rule is refined past order 64
+    ev = PhiEvaluator(22)
+    before = ev.log_phi(1.0)
+    ev.log_phi(300.0)
+    assert ev.log_phi(1.0) == before == PhiEvaluator(22).log_phi(1.0)
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_rule_converged_below_switch_radius(n):
+    # the order is chosen at r_switch only; it must hold at smaller radii too
+    ev = PhiEvaluator(n)
+    r = np.linspace(0.0, ev.r_switch, 401)
+    chosen = ev._log_phi_quad(r, ev.order)
+    doubled = ev._log_phi_quad(r, 2 * ev.order)
+    assert np.all(np.abs(chosen - doubled)
+                  <= 1e-12 * np.maximum(1.0, np.abs(doubled)))
 
 
 def test_holder_norm_rejects_bad_inputs():
