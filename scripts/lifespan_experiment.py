@@ -13,13 +13,12 @@ from nakao.lifespan import sweep
 from nakao.slicing import lifespan_upper_bound
 
 
-def main() -> int:
+def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--h", type=float, default=0.02)
     ap.add_argument("--threshold", type=float, default=1e8)
     ap.add_argument("--epsilons", default="0.4,0.3,0.2,0.15,0.1")
-    ap.add_argument("--jobs", type=int, default=1)
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
     params = ProblemParams(n=1, p=2.0, q=2.0, R=1.0)
     ladder = [float(v) for v in args.epsilons.split(",")]
@@ -28,7 +27,7 @@ def main() -> int:
           f"F4={rep.F4:.4f} -> F={rep.F:.4f}, predicted slope {1 / rep.F:.4f}")
 
     num = Numerics(h=args.h, cfl=0.45, t_max=60.0, threshold=args.threshold)
-    fit = sweep(params, ladder, InitialDataSpec(), num, jobs=args.jobs)
+    fit = sweep(params, ladder, InitialDataSpec(), num)
     for e, t in zip(fit.epsilons, fit.t_values):
         unit = lifespan_upper_bound(ProblemParams(n=1, p=2.0, q=2.0, epsilon=e))
         print(f"  eps={e:<6g} T_blowup={t:<8g} "

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -75,7 +74,7 @@ _SCHEMAS: dict[str, dict] = {
         "amp_u0": (float, 1.0), "amp_u1": (float, 1.0),
         "amp_v0": (float, 1.0), "amp_v1": (float, 1.0),
         "tol": (float, 0.35),
-        "jobs": (int, 0),
+        "jobs": (int, 0),  # unread; kept so old configs and the echo hold
     },
     "report": {
         **_COMMON,
@@ -135,13 +134,6 @@ def resolve_config(command: str, file_path: str | None,
     if missing:
         raise ConfigError(f"missing required keys: {', '.join(sorted(missing))}")
     return cfg
-
-
-def _jobs(cfg: dict) -> int:
-    if cfg.get("jobs"):
-        return max(1, int(cfg["jobs"]))
-    env = os.environ.get("NAKAO_JOBS")
-    return max(1, int(env)) if env else 1
 
 
 # ---------------------------------------------------------------------------
@@ -270,8 +262,7 @@ def cmd_sweep(cfg: dict) -> int:
     params, spec, numerics = _sim_pieces({**cfg, "epsilon": 1.0})
     out = cfg["out"]
     try:
-        fit = sweep(params, cfg["epsilons"], spec, numerics, tol=cfg["tol"],
-                    jobs=_jobs(cfg))
+        fit = sweep(params, cfg["epsilons"], spec, numerics, tol=cfg["tol"])
     except InconclusiveSweep as exc:
         write_json(f"{out}.json", {"config": cfg, "error": str(exc)})
         print(f"sweep inconclusive: {exc}", file=sys.stderr)

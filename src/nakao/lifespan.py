@@ -2,18 +2,19 @@
 
 The theory gives only an upper bound T(eps) <= C eps^{-1/F}, so acceptance of
 a fit is one-sided: the measured slope of log T against log(1/eps) must not
-exceed the predicted 1/F by more than the tolerance factor.
+exceed the predicted 1/F by more than the tolerance factor.  A sweep steps
+the whole ladder at once (`pde.blowup_times`: level arrays with a trailing
+epsilon axis), and each blow-up time equals that of its own `pde.run`.
 """
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .exponents import Verdict, critical_values
 from .params import ProblemParams
-from .pde import InitialDataSpec, Numerics, run
+from .pde import InitialDataSpec, Numerics, blowup_times
 
 
 class InconclusiveSweep(ValueError):
@@ -58,19 +59,14 @@ class LifespanFit:
     inconclusive: tuple[float, ...]  # ladder points that never crossed
 
 
-def _sweep_point(args) -> tuple[float, float | None]:
-    params, spec, numerics = args
-    trace = run(params, spec, numerics)
-    return params.epsilon, trace.t_blowup
-
-
 def sweep(params: ProblemParams, epsilons, spec: InitialDataSpec,
-          numerics: Numerics, tol: float = 0.35, jobs: int = 1) -> LifespanFit:
+          numerics: Numerics, tol: float = 0.35) -> LifespanFit:
     """Run the ladder, fit log T against log(1/eps), compare with 1/F.
 
     Ladder points that reach t_max without crossing the threshold are
     excluded from the fit and reported in `inconclusive`.  Requires a
-    blow-up verdict and at least four conclusive points.
+    blow-up verdict and at least four distinct ladder values (ValueError
+    before any run) and at least four conclusive points (InconclusiveSweep).
     """
     report = critical_values(params)
     if report.verdict is not Verdict.BLOW_UP:
@@ -80,14 +76,12 @@ def sweep(params: ProblemParams, epsilons, spec: InitialDataSpec,
     eps = sorted(set(eps_list), reverse=True)
     if len(eps) != len(eps_list):
         raise ValueError("ladder values must be distinct")
+    if len(eps) < 4:
+        raise ValueError(f"a ladder needs at least 4 distinct values, "
+                         f"got {len(eps)}")
     if report.F <= 0.0:
         raise ValueError("nonpositive lifespan exponent")
-    tasks = [(replace(params, epsilon=e), spec, numerics) for e in eps]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_sweep_point, tasks))
-    else:
-        results = [_sweep_point(t) for t in tasks]
+    results = list(zip(eps, blowup_times(params, eps, spec, numerics)))
     concl = [(e, t) for e, t in results if t is not None and t > 0.0]
     inconcl = tuple(e for e, t in results if t is None or t <= 0.0)
     if len(concl) < 4:

@@ -10,12 +10,15 @@ Dirichlet, which the light cone never reaches.
 
 `run` steps and measures only the exact nonzero span of the solution (see
 RadialField.span), in buffers allocated once per field; every value equals
-that of the whole-grid computation bit for bit.
+that of the whole-grid computation bit for bit.  The level arrays may carry a
+trailing epsilon axis, shape (nodes, k): `blowup_times` steps a whole ladder
+of amplitudes that way, one column per epsilon, and each column's blow-up
+time equals that of its own `run` bit for bit.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
 import numpy as np
@@ -91,10 +94,15 @@ class BlowupReason(str, Enum):
 class RadialField:
     """Two time levels of (u, v) on the grid, plus quadrature weights.
 
+    The levels have shape (nodes,) or, for a batch of epsilons stepped
+    together, (nodes, k) with one column per epsilon; the node axis leads, so
+    row slices still index nodes.
+
     span = (lo, hi), when set, says that nodes lo..hi-1 hold every nonzero of
-    u, u_prev, v and v_prev.  step, functionals and support_radius then work
-    on those nodes only, and step keeps the span exact.  None (the default)
-    means the whole grid.
+    u, u_prev, v and v_prev (in any column).  step, functionals and
+    support_radius then work on those nodes only, and step keeps the span
+    exact.  None (the default) means the whole grid.  functionals and
+    support_radius take 1-D levels only.
     """
 
     n: int
@@ -111,7 +119,7 @@ class RadialField:
     work: _Work = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        self.work = _Work(self.n, self.x)
+        self.work = _Work(self.n, self.x, self.u.shape)
 
     @property
     def t(self) -> float:
@@ -125,26 +133,35 @@ class RadialField:
 
 
 class _Work:
-    """Scratch arrays of one field, so that stepping allocates nothing.
+    """Scratch arrays of one field, in the shape of its levels, so that
+    stepping allocates nothing.
 
     src_u, src_v (the sources |v|^p, |u|^q) and v_phi are zero outside the
     span: step zeroes the nodes it trims, so whole-grid dots over them equal
     those of the whole-grid computation.  coef = (n-1)/x is the first-order
-    radial coefficient on the interior nodes; None at n = 1, where the term
-    vanishes.
+    radial coefficient on the interior nodes, repeated in every column of a
+    batch (a broadcast (nodes, 1) operand makes numpy loop over the few
+    columns, ~5x slower); None at n = 1, where the term vanishes.  The
+    diagnostic buffers (v_phi, abs_*, mask_*) serve run's per-step
+    measurements and are None for a batch, which takes none.
     """
 
-    def __init__(self, n: int, x: np.ndarray) -> None:
-        self.lap, self.acc = np.zeros_like(x), np.zeros_like(x)
-        self.src_u, self.src_v = np.zeros_like(x), np.zeros_like(x)
-        self.v_phi = np.zeros_like(x)
-        self.abs_u, self.abs_v = np.zeros_like(x), np.zeros_like(x)
-        self.mask_u = np.zeros(x.shape, dtype=bool)
-        self.mask_v = np.zeros(x.shape, dtype=bool)
+    def __init__(self, n: int, x: np.ndarray, shape: tuple[int, ...]) -> None:
+        self.lap, self.acc = np.zeros(shape), np.zeros(shape)
+        self.src_u, self.src_v = np.zeros(shape), np.zeros(shape)
+        self.v_phi = self.abs_u = self.abs_v = None
+        self.mask_u = self.mask_v = None
+        if len(shape) == 1:
+            self.v_phi = np.zeros(shape)
+            self.abs_u, self.abs_v = np.zeros(shape), np.zeros(shape)
+            self.mask_u = np.zeros(shape, dtype=bool)
+            self.mask_v = np.zeros(shape, dtype=bool)
         self.coef = None
         if n >= 2:
-            self.coef = np.zeros_like(x)
-            self.coef[1:-1] = (n - 1) / x[1:-1]
+            coef = np.zeros_like(x)
+            coef[1:-1] = (n - 1) / x[1:-1]
+            self.coef = (coef if len(shape) == 1
+                         else np.broadcast_to(coef[:, None], shape).copy())
 
 
 def make_field(n: int, h: float, dt: float, r_max: float) -> RadialField:
@@ -169,11 +186,12 @@ def laplacian(field: RadialField, f: np.ndarray, out: np.ndarray | None = None,
               rows: tuple[int, int] | None = None) -> np.ndarray:
     """Second-order radial Laplacian; zero on the Dirichlet row at r_max.
 
-    With rows = (a, b) only rows a..b-1 of out are written (the stencil reads
-    f on a-1..b); by default a new whole-grid array is returned.
+    f has the shape of the field's levels; rows index nodes.  With rows =
+    (a, b) only rows a..b-1 of out are written (the stencil reads f on
+    a-1..b); by default a new whole-grid array is returned.
     """
     n, h = field.n, field.h
-    size = f.size
+    size = f.shape[0]
     if out is None:
         out = np.zeros_like(f)
     a, b = (0, size) if rows is None else rows
@@ -254,6 +272,8 @@ def step(field: RadialField, params: ProblemParams,
 
     The damping is the centered difference (u_next - u_prev)/(2 dt), absorbed
     into the implicit 1 + dt/2 divisor; v gets the plain leapfrog update.
+    A batched field (levels of shape (nodes, k)) advances every column, each
+    exactly as it would advance alone.
     src_u / src_v override the computed sources |v|^p / |u|^q (used to add
     forcing; zero arrays give the free, uncoupled wave).
     u_next and v_next are written into the u_prev and v_prev arrays, which
@@ -313,26 +333,39 @@ def _trim(field: RadialField, a: int, b: int) -> tuple[int, int]:
     zero the trimmed nodes of the buffers that must vanish outside it."""
     u, u_prev, v, v_prev = field.u, field.u_prev, field.v, field.v_prev
     lo, hi = a, b
-    # a float is falsy exactly when it is +-0.0 (nan is truthy)
-    while lo < hi and not (u[hi - 1] or u_prev[hi - 1] or v[hi - 1]
-                           or v_prev[hi - 1]):
-        hi -= 1
-    while lo < hi and not (u[lo] or u_prev[lo] or v[lo] or v_prev[lo]):
-        lo += 1
+    if u.ndim == 1:
+        # a float is falsy exactly when it is +-0.0 (nan is truthy); a
+        # scalar test, since .any() on a scalar costs far more
+        while lo < hi and not (u[hi - 1] or u_prev[hi - 1] or v[hi - 1]
+                               or v_prev[hi - 1]):
+            hi -= 1
+        while lo < hi and not (u[lo] or u_prev[lo] or v[lo] or v_prev[lo]):
+            lo += 1
+    else:
+        # count_nonzero: the cheapest row test (nan counts)
+        nz = np.count_nonzero
+        while lo < hi and not (nz(u[hi - 1]) or nz(u_prev[hi - 1])
+                               or nz(v[hi - 1]) or nz(v_prev[hi - 1])):
+            hi -= 1
+        while lo < hi and not (nz(u[lo]) or nz(u_prev[lo]) or nz(v[lo])
+                               or nz(v_prev[lo])):
+            lo += 1
     if lo > a or hi < b:
         wk = field.work
         for buf in (wk.src_u, wk.src_v, wk.v_phi):
-            buf[a:lo] = 0.0
-            buf[hi:b] = 0.0
+            if buf is not None:
+                buf[a:lo] = 0.0
+                buf[hi:b] = 0.0
     return lo, hi
 
 
 def _nonzero_span(field: RadialField) -> tuple[int, int]:
-    nonzero = np.flatnonzero((field.u != 0.0) | (field.u_prev != 0.0)
-                             | (field.v != 0.0) | (field.v_prev != 0.0))
-    if nonzero.size == 0:
+    nonzero = ((field.u != 0.0) | (field.u_prev != 0.0)
+               | (field.v != 0.0) | (field.v_prev != 0.0))
+    rows = np.flatnonzero(nonzero.reshape(nonzero.shape[0], -1).any(axis=1))
+    if rows.size == 0:
         return 0, 0
-    return int(nonzero[0]), int(nonzero[-1]) + 1
+    return int(rows[0]), int(rows[-1]) + 1
 
 
 def functionals(field: RadialField, phi_values: np.ndarray):
@@ -508,8 +541,7 @@ def run(params: ProblemParams, spec: InitialDataSpec,
         max_excess = max(max_excess,
                          support_radius(fld, mags=mags)
                          - (params.R + fld.t))
-        finite = math.isfinite(m_u) and math.isfinite(m_v)
-        if not finite or m_u + m_v > numerics.threshold:
+        if _crossed(m_u, m_v, numerics.threshold):
             t_blowup = fld.t
             reason = BlowupReason.MAX_NORM
             break
@@ -534,3 +566,86 @@ def run(params: ProblemParams, spec: InitialDataSpec,
                            t_blowup=t_blowup, reason=reason,
                            support_max_excess=max_excess,
                            du0=moments.du0, dv0=moments.dv0)
+
+
+def _crossed(m_u: float, m_v: float, threshold: float) -> bool:
+    """The max-norm blow-up test: a non-finite maximum or a sum past the
+    threshold."""
+    finite = math.isfinite(m_u) and math.isfinite(m_v)
+    return not finite or m_u + m_v > threshold
+
+
+def _stacked_initial_data(params: ProblemParams, epsilons: list[float],
+                          spec: InitialDataSpec,
+                          numerics: Numerics) -> RadialField:
+    """One field whose column j holds make_initial_data's levels for
+    epsilons[j]; each per-epsilon field is dropped once copied."""
+    fld = None
+    for j, e in enumerate(epsilons):
+        one, _ = make_initial_data(replace(params, epsilon=e), spec, numerics)
+        if fld is None:
+            shape = (one.x.size, len(epsilons))
+            fld = RadialField(n=one.n, h=one.h, dt=one.dt, x=one.x, w=one.w,
+                              u=np.empty(shape), u_prev=np.empty(shape),
+                              v=np.empty(shape), v_prev=np.empty(shape))
+        for name in ("u", "u_prev", "v", "v_prev"):
+            getattr(fld, name)[:, j] = getattr(one, name)
+    return fld
+
+
+def blowup_times(params: ProblemParams, epsilons, spec: InitialDataSpec,
+                 numerics: Numerics) -> list[float | None]:
+    """Max-norm blow-up time of run(replace(params, epsilon=e), spec,
+    numerics) for each e in epsilons (None where it reaches t_max), bit for
+    bit, from one leapfrog loop over all of them.
+
+    The levels of every epsilon are stacked as the columns of one (nodes, k)
+    field, stepped on the union of their nonzero spans.  Each step retires
+    the columns whose max|u| and max|v| crossed, then steps the rest.  The
+    per-column maxima are formed only when the maxima over all columns cross:
+    rounding is monotone, so no column can cross before that.  No
+    functionals, support radii or residuals are formed.  A functional
+    threshold is refused: per-column dots are not bit-equal to run's.
+    """
+    if numerics.functional_threshold is not None:
+        raise ValueError("blowup_times detects max-norm blow-up only; "
+                         "functional_threshold must be None")
+    eps = [float(e) for e in epsilons]
+    t_blowup: list[float | None] = [None] * len(eps)
+    if not eps:
+        return t_blowup
+    fld = _stacked_initial_data(params, eps, spec, numerics)
+    n_steps = int(round(numerics.t_max / fld.dt))
+    fld.span = _nonzero_span(fld)
+    cols = list(range(len(eps)))   # original index of each live column
+
+    for k in range(n_steps + 1):
+        lo, hi = fld.span
+        wk = fld.work
+        # wk.lap and wk.acc are free scratch between steps
+        abs_u = np.abs(fld.u[lo:hi], out=wk.lap[lo:hi])
+        abs_v = np.abs(fld.v[lo:hi], out=wk.acc[lo:hi])
+        if _crossed(float(np.maximum.reduce(abs_u, axis=None, initial=0.0)),
+                    float(np.maximum.reduce(abs_v, axis=None, initial=0.0)),
+                    numerics.threshold):
+            m_u = np.maximum.reduce(abs_u, axis=0, initial=0.0).tolist()
+            m_v = np.maximum.reduce(abs_v, axis=0, initial=0.0).tolist()
+            done = [_crossed(a, b, numerics.threshold)
+                    for a, b in zip(m_u, m_v)]
+            for j, d in zip(cols, done):
+                if d:
+                    t_blowup[j] = fld.t
+            cols = [j for j, d in zip(cols, done) if not d]
+            if not cols:
+                break
+            if any(done):
+                keep = np.logical_not(done)
+                for name in ("u", "u_prev", "v", "v_prev"):
+                    setattr(fld, name, getattr(fld, name)[:, keep])
+                fld.work = wk = _Work(fld.n, fld.x, fld.u.shape)
+        if k == n_steps:
+            break
+        _pow_abs(fld.v[lo:hi], params.p, out=wk.src_u[lo:hi])
+        _pow_abs(fld.u[lo:hi], params.q, out=wk.src_v[lo:hi])
+        step(fld, params, src_u=wk.src_u, src_v=wk.src_v)
+    return t_blowup

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from nakao import cli
+from nakao import cli, lifespan
 from nakao.cli import dispatch
 
 
@@ -185,22 +185,29 @@ def test_report_output(tmp_path):
     assert doc["product_limit"] == pytest.approx(4.768462058062743, rel=1e-9)
 
 
-def test_jobs_env_fallback(tmp_path, monkeypatch):
-    seen = []
-
-    def fake_sweep(*args, jobs, **kwargs):
-        seen.append(jobs)
+def test_sweep_jobs_accepted_and_echoed(tmp_path, monkeypatch):
+    def fake_sweep(*args, **kwargs):
+        assert "jobs" not in kwargs
         raise cli.InconclusiveSweep("stub")
 
     monkeypatch.setattr(cli, "sweep", fake_sweep)
-    argv = ["sweep", "--n", "1", "--p", "2", "--q", "2",
-            "--out", str(tmp_path / "sw")]
-    monkeypatch.setenv("NAKAO_JOBS", "2")
-    assert dispatch(argv) == 3
-    assert dispatch([*argv, "--jobs", "3"]) == 3   # the flag wins
-    monkeypatch.delenv("NAKAO_JOBS")
-    assert dispatch(argv) == 3
-    assert seen == [2, 3, 1]
+    out = tmp_path / "sw"
+    assert dispatch(["sweep", "--n", "1", "--p", "2", "--q", "2",
+                     "--jobs", "3", "--out", str(out)]) == 3
+    assert json.loads(Path(f"{out}.json").read_text())["config"]["jobs"] == 3
+
+
+@pytest.mark.parametrize("ladder", ["0.5", "", "0.5,0.4,0.3"])
+def test_sweep_refuses_short_ladder_before_running(tmp_path, monkeypatch,
+                                                   ladder):
+    def no_run(*args, **kwargs):
+        raise AssertionError("the simulator ran")
+
+    monkeypatch.setattr(lifespan, "blowup_times", no_run)
+    out = tmp_path / "sw"
+    assert dispatch(["sweep", "--n", "1", "--p", "2", "--q", "2",
+                     "--epsilons", ladder, "--out", str(out)]) == 2
+    assert not list(tmp_path.iterdir())
 
 
 def test_config_roundtrip_through_echo(tmp_path):

@@ -51,14 +51,6 @@ def test_sweep_reference_point():
     assert np.all(np.diff(fit.t_values) > 0)   # smaller eps lives longer
 
 
-def test_sweep_parallel_matches_serial():
-    serial = sweep(ProblemParams(1, 2.0, 2.0), LADDER, InitialDataSpec(), FAST)
-    par = sweep(ProblemParams(1, 2.0, 2.0), LADDER, InitialDataSpec(), FAST,
-                jobs=2)
-    assert np.array_equal(serial.t_values, par.t_values)
-    assert serial.fitted_slope == par.fitted_slope
-
-
 def test_sweep_rejects_bad_ladders():
     with pytest.raises(ValueError):
         sweep(ProblemParams(1, 2.0, 2.0), [0.5], InitialDataSpec(), FAST)

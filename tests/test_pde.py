@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,8 +7,8 @@ import pytest
 from nakao.params import ProblemParams
 from nakao.pde import (BlowupReason, InitialDataSpec, Numerics, RadialField,
                        _nonzero_span, _pow_abs, balance_residuals,
-                       functionals, laplacian, make_field, make_initial_data,
-                       profile, run, step, support_radius)
+                       blowup_times, functionals, laplacian, make_field,
+                       make_initial_data, profile, run, step, support_radius)
 from nakao.testfn import PhiEvaluator
 
 P122 = ProblemParams(1, 2.0, 2.0, R=1.0, epsilon=0.2)
@@ -277,9 +278,9 @@ def _full_line_initial_data(params, spec, numerics):
     h = numerics.h
     dt = numerics.cfl * h
     m = math.ceil(numerics.resolved_r_max(params.R) / h)
+    z = np.zeros(2 * m + 1)   # the levels' shape sizes the field's buffers
     fld = RadialField(n=1, h=h, dt=dt, x=(np.arange(2 * m + 1) - m) * h,
-                      w=np.full(2 * m + 1, h), u=None, u_prev=None, v=None,
-                      v_prev=None)
+                      w=np.full(2 * m + 1, h), u=z, u_prev=z, v=z, v_prev=z)
     fld.w[[0, -1]] *= 0.5
     base = profile(spec.shape, fld.x, params.R)
     u0, u1, v0, v1 = (params.epsilon * amp * base for amp in
@@ -526,3 +527,63 @@ def test_v1_finite_past_phi_overflow_radius():
     near = run(params, SPEC, Numerics(h=0.1, t_max=3.0, r_max=700.0))
     assert np.all(np.isfinite(far.V1))
     np.testing.assert_allclose(far.V1, near.V1, rtol=1e-12)
+
+
+# (params, ladder, numerics): t_max is cut short of the last (smallest)
+# epsilon's blow-up only, so that column stays inconclusive to the end
+BATCH_CASES = {
+    # the repeated 0.4 gives two columns that retire at the same step
+    "n1": (ProblemParams(1, 2.0, 2.0), [0.5, 0.4, 0.4, 0.3, 0.1],
+           Numerics(h=0.05, t_max=15.0)),
+    "n2": (ProblemParams(2, 1.5, 1.5), [1.0, 0.6, 0.4, 0.3],
+           Numerics(h=0.05, t_max=18.0)),
+    "n3": (ProblemParams(3, 1.2, 1.8), [2.0, 1.5, 1.0, 0.6],
+           Numerics(h=0.05, t_max=30.0)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BATCH_CASES))
+def test_blowup_times_bit_identical_to_run(case):
+    params, ladder, num = BATCH_CASES[case]
+    batched = blowup_times(params, ladder, SPEC, num)
+    single = [run(replace(params, epsilon=e), SPEC, num).t_blowup
+              for e in ladder]
+    assert batched == single
+    assert batched[-1] is None
+    assert all(t is not None for t in batched[:-1])
+    if case == "n1":
+        assert batched[1] == batched[2]
+
+
+def test_blowup_times_zero_data():
+    num = Numerics(h=0.05, t_max=2.0)
+    assert blowup_times(P122, [0.5, 0.3], ZERO, num) == [None, None]
+    assert run(P122, ZERO, num).t_blowup is None
+    assert blowup_times(P122, [], SPEC, num) == []
+
+
+def test_blowup_times_refuses_functional_threshold():
+    num = Numerics(h=0.05, t_max=2.0, functional_threshold=1.0)
+    with pytest.raises(ValueError, match="functional_threshold"):
+        blowup_times(P122, [0.5], SPEC, num)
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_batched_step_column_matches_single_step(n):
+    # whole grid, random levels: every node of the column takes the path a
+    # one-column field takes
+    params = ProblemParams(n, 1.5, 3.0)
+    rng = np.random.default_rng(11)
+    single = make_field(n, 0.05, 0.02, 2.0)
+    levels = {name: rng.standard_normal((single.x.size, 3))
+              for name in ("u", "u_prev", "v", "v_prev")}
+    batch = RadialField(n=n, h=single.h, dt=single.dt, x=single.x,
+                        w=single.w, **levels)
+    for name, level in levels.items():
+        setattr(single, name, level[:, 1].copy())
+    for _ in range(5):
+        step(batch, params)
+        step(single, params)
+    for name in levels:
+        column = getattr(batch, name)[:, 1]
+        assert _bits(column) == _bits(getattr(single, name))
