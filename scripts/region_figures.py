@@ -13,12 +13,12 @@ import sys
 from nakao.cli import dispatch
 
 
-def main() -> int:
+def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--out-dir", default="out")
     ap.add_argument("--grid", type=int, default=200)
     ap.add_argument("--dims", default="1,2,3,4")
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
     out = pathlib.Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     for n in (int(v) for v in args.dims.split(",")):

@@ -91,6 +91,8 @@ _DEFAULT_OUT = {
 
 
 def _coerce(key: str, kind, value):
+    """value as the schema's kind.  Only bool keys take JSON booleans, and
+    int keys take integral numbers only (2, 2.0 and "2", not 1.9 or "2.0")."""
     try:
         if kind is bool:
             if isinstance(value, bool):
@@ -98,10 +100,14 @@ def _coerce(key: str, kind, value):
             if isinstance(value, str):
                 return value.lower() in ("1", "true", "yes")
             return bool(value)
+        if isinstance(value, bool):
+            raise TypeError("a boolean for a non-boolean key")
         if kind is list:
             if isinstance(value, str):
                 return [float(v) for v in value.split(",") if v]
             return [float(v) for v in value]
+        if kind is int and isinstance(value, float) and not value.is_integer():
+            raise ValueError("not an integer")
         return kind(value)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad value for {key!r}: {value!r}") from exc

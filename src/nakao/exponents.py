@@ -107,6 +107,8 @@ def f_case(n, F1, F2, F3, F4):
 # classification
 
 class Verdict(str, Enum):
+    """Declaration order gives the codes of scan_arrays: 0 .. 3."""
+
     BLOW_UP = "blow_up"                       # iteration-method condition holds
     BLOW_UP_WAKASUGI_ONLY = "wakasugi_only"   # only the test-function condition holds
     NO_BLOW_UP_KNOWN = "none_known"
@@ -134,25 +136,15 @@ class ExponentReport:
     verdict: Verdict
 
 
-def classify(n: int, p: float, q: float, is_admissible: bool) -> Verdict:
-    """Strict iteration condition first, then the (non-strict) Wakasugi one."""
-    if not is_admissible:
-        return Verdict.INADMISSIBLE
-    if alpha_n(p, q) > (n - 1.0) / 2.0:
-        return Verdict.BLOW_UP
-    if alpha_nw(p, q) >= n / 2.0:
-        return Verdict.BLOW_UP_WAKASUGI_ONLY
-    return Verdict.NO_BLOW_UP_KNOWN
-
-
 def critical_values(params: ProblemParams) -> ExponentReport:
     """Evaluate every curve value, F1..F4, the split maximum F and the verdict.
 
     Values are reported even when the point is inadmissible; only the verdict
-    reflects admissibility.
+    reflects admissibility.  alpha_n, F and the verdict are scan_arrays'
+    values for the point.
     """
     n, p, q = params.n, params.p, params.q
-    F1, F2, F3, F4 = f1(n, p, q), f2(n, p, q), f3(n, p, q), f4(n, p, q)
+    aN, F, code, _ = scan_arrays(n, p, q)
     return ExponentReport(
         n=n, p=p, q=q,
         alpha_w=float(alpha_w(p, q)),
@@ -160,10 +152,11 @@ def critical_values(params: ProblemParams) -> ExponentReport:
         alpha_nw=float(alpha_nw(p, q)),
         alpha0=float(alpha0(p, q)),
         alpha1=float(alpha1(p, q)),
-        alpha_n=float(alpha_n(p, q)),
-        F1=float(F1), F2=float(F2), F3=float(F3), F4=float(F4),
-        F=float(f_case(n, F1, F2, F3, F4)),
-        verdict=classify(n, p, q, params.admissible),
+        alpha_n=float(aN),
+        F1=float(f1(n, p, q)), F2=float(f2(n, p, q)),
+        F3=float(f3(n, p, q)), F4=float(f4(n, p, q)),
+        F=float(F),
+        verdict=_VERDICTS[int(code)],
     )
 
 
@@ -242,17 +235,10 @@ def diagonal_blowup_bound(n: int) -> float:
 # ---------------------------------------------------------------------------
 # region scans
 
-_VERDICT_CODES = {
-    Verdict.BLOW_UP: 0,
-    Verdict.BLOW_UP_WAKASUGI_ONLY: 1,
-    Verdict.NO_BLOW_UP_KNOWN: 2,
-    Verdict.INADMISSIBLE: 3,
-}
-_CODE_VERDICTS = {v: k for k, v in _VERDICT_CODES.items()}
+_VERDICTS = tuple(Verdict)   # verdict by code
 # verdict text by code; object dtype so that indexing by the codes copies
 # references to four strings, not a fixed-width string per cell
-_CODE_LABELS = np.array([_CODE_VERDICTS[c].value
-                         for c in range(len(_CODE_VERDICTS))], dtype=object)
+_CODE_LABELS = np.array([v.value for v in _VERDICTS], dtype=object)
 
 
 @dataclass(frozen=True)
@@ -264,11 +250,8 @@ class RegionScan:
     q: np.ndarray
     alpha_n: np.ndarray
     F: np.ndarray
-    verdict_code: np.ndarray   # int codes, see verdicts()
+    verdict_code: np.ndarray   # int codes, in the order of Verdict
     binding: np.ndarray        # 1-based index of the maximal alpha_n component
-
-    def verdicts(self) -> list[Verdict]:
-        return [_CODE_VERDICTS[int(c)] for c in self.verdict_code]
 
     def verdict_labels(self) -> np.ndarray:
         """Verdict text per cell, as an object array."""
@@ -276,7 +259,11 @@ class RegionScan:
 
 
 def scan_arrays(n: int, P: np.ndarray, Q: np.ndarray):
-    """Vectorized classification; returns (alpha_n, F, verdict codes, binding)."""
+    """Vectorized classification; returns (alpha_n, F, verdict codes, binding).
+
+    Code 3 (inadmissible) comes first; then the strict iteration condition
+    (0), then the non-strict Wakasugi one (1); 2 otherwise.
+    """
     c1, c2, c3 = comp_damped(P, Q), comp_wave(P, Q), comp_shifted(P, Q)
     aN = np.maximum(np.maximum(c1, c2), c3)
     F1, F2, F3, F4 = f1(n, P, Q), f2(n, P, Q), f3(n, P, Q), f4(n, P, Q)

@@ -1,7 +1,7 @@
 """Radially symmetric explicit finite-difference simulator for the coupled
 system (damped component driven by |v|^p, free component by |u|^q), with
-functional tracking, discrete balance residuals, support checks and blow-up
-detection.
+functional tracking, discrete balance residuals, support checks and max-norm
+blow-up detection.
 
 Every dimension is solved on the radial half line 0 <= r <= r_max, n = 1
 included (even data on the line): an even-symmetry ghost at the origin gives
@@ -13,7 +13,9 @@ RadialField.span), in buffers allocated once per field; every value equals
 that of the whole-grid computation bit for bit.  The level arrays may carry a
 trailing epsilon axis, shape (nodes, k): `blowup_times` steps a whole ladder
 of amplitudes that way, one column per epsilon, and each column's blow-up
-time equals that of its own `run` bit for bit.
+time equals that of its own `run` bit for bit.  Both drivers flag blow-up
+by one test, `_crossed`: max|u| + max|v| past the threshold, or a
+non-finite maximum.
 """
 from __future__ import annotations
 
@@ -34,13 +36,14 @@ class Numerics:
     The scheme's sub-truncation dust runs ahead of the cone and can still
     reach the Dirichlet wall in a long run (at n = 3, h = 0.01 it reaches
     the last interior node at t = 33, and is 2.3e-8 of max|u| there at
-    t = 40)."""
+    t = 40).  threshold is the max-norm blow-up level (see run).
+    make_initial_data refuses h, t_max or threshold that is not finite and
+    positive, and an r_max that is not finite."""
 
     h: float = 0.02
     cfl: float = 0.45
     t_max: float = 40.0
     threshold: float = 1e8
-    functional_threshold: float | None = None
     r_max: float | None = None
 
     def resolved_r_max(self, R: float) -> float:
@@ -86,7 +89,6 @@ def profile(shape: str, r: np.ndarray, R: float) -> np.ndarray:
 
 class BlowupReason(str, Enum):
     MAX_NORM = "max_norm"
-    FUNCTIONAL = "functional"
     NONE = "none"
 
 
@@ -243,9 +245,13 @@ def make_initial_data(params: ProblemParams, spec: InitialDataSpec,
     dt = numerics.cfl * h
     if not 0.0 < numerics.cfl < 1.0:
         raise ValueError(f"CFL violation: need 0 < cfl < 1, got {numerics.cfl}")
-    if h <= 0.0 or numerics.t_max <= 0.0 or numerics.threshold <= 0.0:
-        raise ValueError("h, t_max and threshold must be positive")
+    for name in ("h", "t_max", "threshold"):
+        value = getattr(numerics, name)
+        if not (math.isfinite(value) and value > 0.0):
+            raise ValueError(f"{name} must be finite and positive, got {value}")
     r_max = numerics.resolved_r_max(params.R)
+    if not math.isfinite(r_max):
+        raise ValueError(f"r_max must be finite, got {r_max}")
     if r_max < params.R + numerics.t_max + h:
         raise ValueError("domain too small: the light cone reaches the boundary")
     fld = make_field(params.n, h, dt, r_max)
@@ -265,17 +271,19 @@ def make_initial_data(params: ProblemParams, spec: InitialDataSpec,
     return fld, InitialMoments(du0=float(fld.w @ u1), dv0=float(fld.w @ v1))
 
 
-def step(field: RadialField, params: ProblemParams,
-         src_u: np.ndarray | None = None,
-         src_v: np.ndarray | None = None) -> None:
+def step(field: RadialField, params: ProblemParams, src_u: np.ndarray,
+         src_v: np.ndarray) -> None:
     """Advance one leapfrog step in place.
 
     The damping is the centered difference (u_next - u_prev)/(2 dt), absorbed
     into the implicit 1 + dt/2 divisor; v gets the plain leapfrog update.
     A batched field (levels of shape (nodes, k)) advances every column, each
     exactly as it would advance alone.
-    src_u / src_v override the computed sources |v|^p / |u|^q (used to add
-    forcing; zero arrays give the free, uncoupled wave).
+    src_u / src_v are the sources of u and v, in the shape of the levels:
+    |v|^p and |u|^q for the coupled system (the drivers form them into
+    field.work.src_u / src_v), plus any forcing; zero arrays give the free,
+    uncoupled wave.  The update reads p and q only through them; params
+    stays in the signature so that a tracer can read R from it.
     u_next and v_next are written into the u_prev and v_prev arrays, which
     then become field.u and field.v.
 
@@ -291,14 +299,7 @@ def step(field: RadialField, params: ProblemParams,
     else:
         a, b = max(field.span[0] - 1, 0), min(field.span[1] + 1, size)
     dt = field.dt
-    if src_u is None:
-        src_u = _pow_abs(field.v[a:b], params.p)
-    else:
-        src_u = src_u[a:b]
-    if src_v is None:
-        src_v = _pow_abs(field.u[a:b], params.q)
-    else:
-        src_v = src_v[a:b]
+    src_u, src_v = src_u[a:b], src_v[a:b]
     wk = field.work
     acc = wk.acc[a:b]
 
@@ -506,8 +507,8 @@ def run(params: ProblemParams, spec: InitialDataSpec,
     """March to t_max or blow-up, recording functionals every step.
 
     Blow-up is flagged the first time max|u| + max|v| crosses the threshold
-    (or any value goes non-finite); the optional functional threshold flags
-    on U + V instead.  The reported time is threshold-dependent by design.
+    (or any value goes non-finite), by the test blowup_times uses too.  The
+    reported time is threshold-dependent by design.
     Stepping and the per-step diagnostics cover the exact nonzero span only
     (RadialField.span), taken from the initial data.
     """
@@ -544,11 +545,6 @@ def run(params: ProblemParams, spec: InitialDataSpec,
         if _crossed(m_u, m_v, numerics.threshold):
             t_blowup = fld.t
             reason = BlowupReason.MAX_NORM
-            break
-        if (numerics.functional_threshold is not None
-                and U + V > numerics.functional_threshold):
-            t_blowup = fld.t
-            reason = BlowupReason.FUNCTIONAL
             break
         if k == n_steps:
             break
@@ -595,21 +591,17 @@ def _stacked_initial_data(params: ProblemParams, epsilons: list[float],
 
 def blowup_times(params: ProblemParams, epsilons, spec: InitialDataSpec,
                  numerics: Numerics) -> list[float | None]:
-    """Max-norm blow-up time of run(replace(params, epsilon=e), spec,
-    numerics) for each e in epsilons (None where it reaches t_max), bit for
-    bit, from one leapfrog loop over all of them.
+    """Blow-up time of run(replace(params, epsilon=e), spec, numerics) for
+    each e in epsilons (None where it reaches t_max), bit for bit, from one
+    leapfrog loop over all of them.
 
     The levels of every epsilon are stacked as the columns of one (nodes, k)
     field, stepped on the union of their nonzero spans.  Each step retires
     the columns whose max|u| and max|v| crossed, then steps the rest.  The
     per-column maxima are formed only when the maxima over all columns cross:
     rounding is monotone, so no column can cross before that.  No
-    functionals, support radii or residuals are formed.  A functional
-    threshold is refused: per-column dots are not bit-equal to run's.
+    functionals, support radii or residuals are formed.
     """
-    if numerics.functional_threshold is not None:
-        raise ValueError("blowup_times detects max-norm blow-up only; "
-                         "functional_threshold must be None")
     eps = [float(e) for e in epsilons]
     t_blowup: list[float | None] = [None] * len(eps)
     if not eps:

@@ -286,17 +286,15 @@ class IterationBounds:
 
     b0 / b0_tilde dominate beta_j / b_j as coefficients of (pq)^{(j-1)/2}
     (odd j; (pq)^{j/2} even j); they are the closed-form leading coefficients,
-    which are the exact suprema.  b0_observed / b0_tilde_observed are the
-    suprema actually attained over j <= 60, recorded for comparison.
-    m_log = -b0 sqrt(pq) bounds log(ell_j^{-beta_j}) from below.
-    growth_u/growth_v are the slopes G of the bounds
-    log D_j >= (pq)^{(j-1)/2} G (valid for odd j >= j0, resp. j1).
+    which are the exact suprema.  m_log = -b0 sqrt(pq) bounds
+    log(ell_j^{-beta_j}) from below.  growth_u/growth_v are the slopes G of
+    the bounds log D_j >= (pq)^{(j-1)/2} G (valid for odd j >= j0, resp. j1).
+    All of them are closed-form arithmetic on the initial state; no state
+    past j = 1 is formed.
     """
 
     b0: float
     b0_tilde: float
-    b0_observed: float
-    b0_tilde_observed: float
     m_log: float
     log_e0: float
     log_e0_tilde: float
@@ -312,20 +310,13 @@ def _round_up_odd(x: float) -> int:
     return k if k % 2 == 1 else k + 1
 
 
-def iteration_bounds(config: IterationConfig, observe_to: int = 60) -> IterationBounds:
+def iteration_bounds(config: IterationConfig) -> IterationBounds:
     params = config.params
     p, q, pq = params.p, params.q, params.pq
-    alpha1, a1, beta1, b1 = initial_exponents(config.init_mode, params)
+    _, _, beta1, b1 = initial_exponents(config.init_mode, params)
     c_beta, c_b = _geometric_coeffs(params)
     b0 = max(c_beta + beta1, (c_b + b1) / q)
     b0t = max(c_b + b1, (c_beta + beta1) / p)
-
-    obs = obs_t = 0.0
-    for st in iterate(config, observe_to):
-        # odd j scales by (pq)^{-(j-1)/2}, even j by (pq)^{-j/2}
-        scale = pq ** (-((st.j - 1) // 2) - (1.0 if st.j % 2 == 0 else 0.0))
-        obs = max(obs, st.beta * scale)
-        obs_t = max(obs_t, st.b * scale)
 
     m_log = -b0 * math.sqrt(pq)
     log_c0 = config.frame_constant_log()
@@ -347,8 +338,7 @@ def iteration_bounds(config: IterationConfig, observe_to: int = 60) -> Iteration
                        + 2.0 * log_e0 / ((3.0 + 2.0 * p) * lpq) - 2.0 * pq / s)
     j1 = _round_up_odd(5.0 * q / (2.0 + 3.0 * q)
                        + 2.0 * log_e0t / ((2.0 + 3.0 * q) * lpq) - 2.0 * pq / s)
-    return IterationBounds(b0=b0, b0_tilde=b0t, b0_observed=obs,
-                           b0_tilde_observed=obs_t, m_log=m_log,
+    return IterationBounds(b0=b0, b0_tilde=b0t, m_log=m_log,
                            log_e0=log_e0, log_e0_tilde=log_e0t,
                            growth_u=growth_u, growth_v=growth_v, j0=j0, j1=j1)
 
@@ -416,7 +406,8 @@ def log_functional_bound_u(t: float, j: int, config: IterationConfig,
 
 @dataclass(frozen=True)
 class LifespanBound:
-    """t_upper = max(floor, min over applicable F_i of the power-law bound)."""
+    """t_upper = max(floor, min over applicable F_i of the power-law bound);
+    see lifespan_upper_bound.  F1..F4 themselves are in critical_values."""
 
     t_upper: float
     binding: str               # which F_i realized the minimum
@@ -424,7 +415,6 @@ class LifespanBound:
     product_limit: float
     candidates: dict[str, float]      # +inf where the bound exceeds float range
     log_candidates: dict[str, float]  # exact log-scale values
-    report_f: dict[str, float]
 
 
 def lifespan_upper_bound(params: ProblemParams,
@@ -472,6 +462,4 @@ def lifespan_upper_bound(params: ProblemParams,
                          binding=binding, floor=floor, product_limit=limit,
                          candidates={k: safe_exp(v)
                                      for k, v in log_candidates.items()},
-                         log_candidates=log_candidates,
-                         report_f={"F1": rep.F1, "F2": rep.F2,
-                                   "F3": rep.F3, "F4": rep.F4})
+                         log_candidates=log_candidates)

@@ -31,6 +31,38 @@ def test_unknown_config_key_exits_2(tmp_path):
     assert dispatch(["region", "--config", str(cfg)]) == 2
 
 
+@pytest.mark.parametrize("key,value", [("n", 1.9), ("n", True), ("n", "1.5"),
+                                       ("n", 1e400), ("epsilon", True)])
+def test_non_integral_or_boolean_number_exits_2(tmp_path, key, value):
+    # int() would truncate 1.9 and true to n = 1, float() reads true as 1.0
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"n": 2, "p": 2.0, "q": 2.0, key: value}))
+    out = tmp_path / "rep"
+    assert dispatch(["report", "--config", str(cfg), "--out", str(out)]) == 2
+    assert not Path(f"{out}.json").exists()
+
+
+@pytest.mark.parametrize("value", [2, 2.0, "2"])
+def test_integral_int_key_accepted(tmp_path, value):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"n": value, "p": 2.0, "q": 2.0}))
+    out = tmp_path / "rep"
+    assert dispatch(["report", "--config", str(cfg), "--out", str(out)]) == 0
+    assert json.loads(Path(f"{out}.json").read_text())["config"]["n"] == 2
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+@pytest.mark.parametrize("key", ["t-max", "h", "threshold"])
+def test_infinite_numerics_exit_2_without_output(tmp_path, command, key):
+    # an infinite t_max or h gives no finite grid, and an infinite threshold
+    # would step until the values overflow (a nan value reads as missing)
+    out = tmp_path / "sim"
+    assert dispatch([command, "--n", "1", "--p", "2", "--q", "2",
+                     "--h", "0.05", f"--{key}", "inf",
+                     "--out", str(out)]) == 2
+    assert not list(tmp_path.iterdir())
+
+
 def test_invalid_params_exit_2(tmp_path):
     assert dispatch(["report", "--n", "1", "--p", "0.5", "--q", "2",
                      "--out", str(tmp_path / "r")]) == 2

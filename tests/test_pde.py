@@ -52,6 +52,23 @@ def test_initial_data_validation():
         make_initial_data(P122, SPEC, Numerics(h=0.0, t_max=1.0))
     with pytest.raises(ValueError):
         make_initial_data(P122, SPEC, Numerics(t_max=10.0, r_max=2.0))
+    for r_max in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="r_max must be finite"):
+            make_initial_data(P122, SPEC, Numerics(t_max=1.0, r_max=r_max))
+
+
+@pytest.mark.parametrize("name", ["h", "t_max", "threshold"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_numerics_refused(name, value):
+    # nan fails every comparison and an infinite t_max or h gives no finite
+    # grid; both drivers must refuse before stepping
+    num = replace(Numerics(h=0.05, t_max=2.0), **{name: value})
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        make_initial_data(P122, SPEC, num)
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        run(P122, SPEC, num)
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        blowup_times(P122, [0.5], SPEC, num)
 
 
 @pytest.mark.parametrize("shape,exact", [("bump", BUMP_INTEGRAL),
@@ -190,11 +207,6 @@ def test_blowup_regression_and_reasons():
     assert trace.t_blowup == pytest.approx(6.687, abs=1e-9)
     assert trace.reason is BlowupReason.MAX_NORM
     assert trace.support_max_excess <= 2 * num.h
-    num_f = Numerics(h=0.02, cfl=0.45, t_max=60.0, threshold=1e8,
-                     functional_threshold=5.0)
-    trace_f = run(ProblemParams(1, 2.0, 2.0, R=1.0, epsilon=0.5), SPEC, num_f)
-    assert trace_f.reason is BlowupReason.FUNCTIONAL
-    assert trace_f.t_blowup < trace.t_blowup
 
 
 def test_blowup_monotone_in_eps_and_grid_stable():
@@ -326,10 +338,6 @@ def _ref_run(params, spec, numerics, full_line=False):
                 or m_u + m_v > numerics.threshold):
             t_blowup, reason = fld.t, BlowupReason.MAX_NORM
             break
-        if (numerics.functional_threshold is not None
-                and U + V > numerics.functional_threshold):
-            t_blowup, reason = fld.t, BlowupReason.FUNCTIONAL
-            break
         if k == n_steps:
             break
         _ref_step(fld, params, pow_v, pow_u, walls)
@@ -354,9 +362,8 @@ EQUIVALENCE_CASES = {
                           Numerics(h=0.05, t_max=6.0), BlowupReason.NONE),
     "n2-p1.5-q3": (ProblemParams(2, 1.5, 3.0, epsilon=0.3), SPEC,
                    Numerics(h=0.05, t_max=6.0), BlowupReason.NONE),
-    "n3-functional": (ProblemParams(3, 2.0, 1.5, epsilon=0.5), COSINE,
-                      Numerics(h=0.05, t_max=10.0, functional_threshold=1.0),
-                      BlowupReason.FUNCTIONAL),
+    "n3-cosine-p2-q1.5": (ProblemParams(3, 2.0, 1.5, epsilon=0.5), COSINE,
+                          Numerics(h=0.05, t_max=10.0), BlowupReason.NONE),
     "n5-p3-q2": (ProblemParams(5, 3.0, 2.0, epsilon=0.5), SPEC,
                  Numerics(h=0.05, t_max=4.0), BlowupReason.NONE),
     "n1-zero-data": (P122, ZERO, Numerics(h=0.05, t_max=2.0),
@@ -401,9 +408,9 @@ def test_span_run_bit_identical_to_whole_grid(case):
 FULL_LINE_CASES = {
     "n1-maxnorm": EQUIVALENCE_CASES["n1-maxnorm"] + (1e-9,),
     "n1-cosine-p3-q1.5": EQUIVALENCE_CASES["n1-cosine-p3-q1.5"] + (1e-12,),
-    "n1-functional": (ProblemParams(1, 2.0, 2.0, epsilon=0.5), SPEC,
-                      Numerics(h=0.02, t_max=60.0, functional_threshold=5.0),
-                      BlowupReason.FUNCTIONAL, 1e-12),
+    "n1-maxnorm-h0.02": (ProblemParams(1, 2.0, 2.0, epsilon=0.5), SPEC,
+                         Numerics(h=0.02, t_max=60.0), BlowupReason.MAX_NORM,
+                         1e-9),
     # the eps = 0.1 rung of the reference ladder (t_blowup = 21.753)
     "n1-ladder-eps0.1": (ProblemParams(1, 2.0, 2.0, epsilon=0.1), SPEC,
                          Numerics(h=0.02, t_max=60.0), BlowupReason.MAX_NORM,
@@ -454,7 +461,8 @@ def test_whole_grid_step_matches_reference(n, coupling):
     zero = np.zeros_like(ref.u)
     for _ in range(5):
         if coupling:
-            step(fld, params)
+            step(fld, params, _pow_abs(fld.v, params.p),
+                 _pow_abs(fld.u, params.q))
             _ref_step(ref, params, _ref_pow_abs(ref.v, params.p),
                       _ref_pow_abs(ref.u, params.q))
         else:
@@ -497,7 +505,7 @@ def test_trim_zeroes_buffers_of_dropped_nodes():
     for name in levels:
         getattr(fld, name)[c - 5:c - 2] = 0.0
         getattr(fld, name)[c + 3:c + 6] = 0.0
-    step(fld, params)
+    step(fld, params, _pow_abs(fld.v, params.p), _pow_abs(fld.u, params.q))
     lo, hi = fld.span
     assert (lo, hi) == _nonzero_span(fld) == (c - 3, c + 4)
     for buf in (fld.work.src_u, fld.work.src_v, fld.work.v_phi):
@@ -562,12 +570,6 @@ def test_blowup_times_zero_data():
     assert blowup_times(P122, [], SPEC, num) == []
 
 
-def test_blowup_times_refuses_functional_threshold():
-    num = Numerics(h=0.05, t_max=2.0, functional_threshold=1.0)
-    with pytest.raises(ValueError, match="functional_threshold"):
-        blowup_times(P122, [0.5], SPEC, num)
-
-
 @pytest.mark.parametrize("n", [1, 3])
 def test_batched_step_column_matches_single_step(n):
     # whole grid, random levels: every node of the column takes the path a
@@ -582,8 +584,9 @@ def test_batched_step_column_matches_single_step(n):
     for name, level in levels.items():
         setattr(single, name, level[:, 1].copy())
     for _ in range(5):
-        step(batch, params)
-        step(single, params)
+        for fld in (batch, single):
+            step(fld, params, _pow_abs(fld.v, params.p),
+                 _pow_abs(fld.u, params.q))
     for name in levels:
         column = getattr(batch, name)[:, 1]
         assert _bits(column) == _bits(getattr(single, name))

@@ -36,3 +36,11 @@ def test_lifespan_experiment_script_runs(monkeypatch, capsys):
     script = _load(ROOT / "scripts" / "lifespan_experiment.py", monkeypatch)
     assert script.main(["--h", "0.05"]) == 0
     assert "consistent=True" in capsys.readouterr().out
+
+
+def test_region_figures_script_runs(monkeypatch, tmp_path):
+    script = _load(ROOT / "scripts" / "region_figures.py", monkeypatch)
+    assert script.main(["--grid", "5", "--dims", "1,3",
+                        "--out-dir", str(tmp_path)]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "region_n1.csv", "region_n1.svg", "region_n3.csv", "region_n3.svg"]
