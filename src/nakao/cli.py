@@ -134,11 +134,14 @@ def resolve_config(command: str, file_path: str | None,
     for k, v in flags.items():
         if v is not None and k in schema:
             cfg[k] = _coerce(k, schema[k][0], v)
-    missing = [k for k, v in cfg.items()
-               if v is None or (isinstance(v, float) and math.isnan(v) and
-                                k not in ("p_min", "p_max", "q_min", "q_max"))]
+    missing = [k for k, v in cfg.items() if v is None]
     if missing:
         raise ConfigError(f"missing required keys: {', '.join(sorted(missing))}")
+    for k, v in cfg.items():
+        # NaN region box edges mean "use the default"; NaN is bad anywhere else
+        if (isinstance(v, float) and math.isnan(v)
+                and k not in ("p_min", "p_max", "q_min", "q_max")):
+            raise ConfigError(f"bad value for {k!r}: {v!r}")
     return cfg
 
 

@@ -17,7 +17,7 @@ from .params import sphere_area
 
 _START_ORDER = 64      # first polar Gauss order tried ...
 _MAX_ORDER = 4096      # ... doubled up to this before refusing
-_HOLDER_PANEL = 0.5    # widest radial panel of psi_holder_norm
+_HOLDER_PANEL = 0.5    # radial lattice panel of the Hoelder norms
 _HOLDER_ORDER = 16     # Gauss points per panel
 
 
@@ -129,42 +129,87 @@ def wave_residual(evaluator: PhiEvaluator, r_grid, t: float, h: float,
     return float(np.max(np.abs(psi_tt - lap)))
 
 
+def _panel_terms(evaluator: PhiEvaluator, lo: np.ndarray,
+                 hi: np.ndarray) -> np.ndarray:
+    """Rows log Phi(r), (n-1) log r and the weight at the 16 Gauss nodes of
+    each radial panel [lo, hi], panel by panel; one log_phi call for all."""
+    x, w = _gauss_legendre(_HOLDER_ORDER)
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    r = (mid[:, None] + half[:, None] * x[None, :]).ravel()
+    wts = (half[:, None] * w[None, :]).ravel()
+    if r.size == 0:
+        return np.empty((3, 0))
+    log_r = (evaluator.n - 1) * np.log(r)   # nodes are interior, so r > 0
+    return np.stack((evaluator.log_phi(r), log_r, wts))
+
+
+def _holder_norms(evaluator: PhiEvaluator, ts, p: float,
+                  R: float) -> np.ndarray:
+    """psi_holder_norm at every t of ts, with Phi evaluated once per radius:
+    the full lattice panels are shared by all t, and each t adds only the
+    16 nodes of its own partial panel."""
+    ts = np.atleast_1d(np.asarray(ts, dtype=float))
+    finite = (ts >= 0.0) & (ts < math.inf)   # False at NaN as well
+    if not np.all(finite):
+        raise ValueError(f"need finite t >= 0, got t = {ts[~finite][0]}")
+    if not (1.0 < p < math.inf and 0.0 < R < math.inf):
+        raise ValueError(f"need finite p > 1 and R > 0, got p = {p}, R = {R}")
+    pp = p / (p - 1.0)
+    uppers = R + ts
+    # full panels per t; exact, as the panel is 2^-1.  Kept as floats, so a
+    # t too large for any grid fails in arange instead of wrapping an int.
+    full = np.floor(uppers / _HOLDER_PANEL)
+    edges = _HOLDER_PANEL * np.arange(np.max(full, initial=0.0) + 1.0)
+    lattice = _panel_terms(evaluator, edges[:-1], edges[1:])
+    lo = _HOLDER_PANEL * full
+    cut = uppers > lo     # an empty partial panel would shift the sum's rounding
+    partial = _panel_terms(evaluator, lo[cut], uppers[cut])
+    out = np.empty(ts.size)
+    j = 0                 # next partial panel's first column
+    for i, t in enumerate(ts):
+        terms = lattice[:, :int(full[i]) * _HOLDER_ORDER]
+        if cut[i]:
+            terms = np.concatenate(
+                (terms, partial[:, j:j + _HOLDER_ORDER]), axis=1)
+            j += _HOLDER_ORDER
+        log_phi, log_r, wts = terms
+        out[i] = float(np.sum(wts * np.exp(pp * (log_phi - t) + log_r)))
+    return sphere_area(evaluator.n) * out
+
+
 def psi_holder_norm(evaluator: PhiEvaluator, t: float, p: float,
                     R: float) -> float:
     """integral of |Psi(t,.)|^{p'} over the ball of radius R+t (p' = p/(p-1)).
 
-    Composite 16-point Gauss-Legendre in the radius with panels of width
-    <= 0.5; the integrand is evaluated in log space so large t is safe.
+    16-point Gauss-Legendre in the radius on the lattice panels
+    [0.5k, 0.5(k+1)] for k < floor((R+t)/0.5), plus one partial last panel
+    [0.5 floor((R+t)/0.5), R+t] unless R+t is a multiple of 0.5.  The
+    integrand is summed in log space, so large t is safe.  Raises ValueError
+    unless t >= 0, p > 1 and R > 0 are all finite.
     """
-    if t < 0.0 or p <= 1.0 or R <= 0.0:
-        raise ValueError("need t >= 0, p > 1, R > 0")
-    pp = p / (p - 1.0)
-    upper = R + t
-    x, w = _gauss_legendre(_HOLDER_ORDER)
-    m = max(1, int(math.ceil(upper / _HOLDER_PANEL)))
-    edges = np.linspace(0.0, upper, m + 1)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * (edges[1] - edges[0])
-    r = (mid[:, None] + half * x[None, :]).ravel()
-    wts = np.broadcast_to(half * w[None, :], (m, x.size)).ravel()
-    log_f = pp * (evaluator.log_phi(r) - t)
-    n = evaluator.n
-    if n >= 2:
-        log_f = log_f + (n - 1) * np.log(r)
-    return sphere_area(n) * float(np.sum(wts * np.exp(log_f)))
+    return float(_holder_norms(evaluator, [t], p, R)[0])
 
 
 def holder_ratio(evaluator: PhiEvaluator, t, p: float, R: float) -> np.ndarray:
-    """psi_holder_norm normalized by (R+t)^{(n-1)(2-p')/2}; stays bounded in t."""
+    """psi_holder_norm at every t, normalized by (R+t)^{(n-1)(2-p')/2}; stays
+    bounded in t.  All t share one evaluation of Phi on the lattice panels up
+    to max(R+t), plus one on the partial last panels; each value equals
+    psi_holder_norm at its t exactly."""
     t = np.atleast_1d(np.asarray(t, dtype=float))
-    pp = p / (p - 1.0)
-    expo = (evaluator.n - 1) * (2.0 - pp) / 2.0
-    vals = np.array([psi_holder_norm(evaluator, float(s), p, R) for s in t])
+    vals = _holder_norms(evaluator, t, p, R)
+    expo = (evaluator.n - 1) * (2.0 - p / (p - 1.0)) / 2.0
     return vals / (R + t) ** expo
 
 
 def c2_constant(evaluator: PhiEvaluator, p: float, R: float,
                 t_max: float = 50.0, num: int = 101) -> float:
-    """Calibrated Hoelder constant: the max of holder_ratio over a t grid."""
+    """Calibrated Hoelder constant: the max of holder_ratio over num points
+    of [0, t_max].  On the default grid (step 0.5, the panel width) with R a
+    multiple of 0.5, every R+t ends on a lattice edge and no partial panel
+    is evaluated.  Raises ValueError for a non-finite t_max or num < 1.
+    """
+    if not math.isfinite(t_max) or num < 1:
+        raise ValueError(f"need finite t_max and num >= 1, "
+                         f"got t_max = {t_max}, num = {num}")
     ts = np.linspace(0.0, t_max, num)
     return float(np.max(holder_ratio(evaluator, ts, p, R)))

@@ -104,6 +104,33 @@ def test_region_rejected_box_exits_2_without_csv(tmp_path, box):
     assert not Path(f"{out}.csv").exists()
 
 
+def test_nan_flag_is_a_bad_value_not_a_missing_key(tmp_path, capsys):
+    out = tmp_path / "sim"
+    assert dispatch(["simulate", "--n", "1", "--p", "2", "--q", "2",
+                     "--threshold", "nan", "--out", str(out)]) == 2
+    assert "bad value for 'threshold': nan" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_nan_in_config_file_is_a_bad_value(tmp_path, capsys):
+    cfg = tmp_path / "c.json"
+    cfg.write_text('{"n": 1, "p": NaN, "q": 2}')
+    out = tmp_path / "sim"
+    assert dispatch(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "bad value for 'p': nan" in capsys.readouterr().err
+    assert not Path(f"{out}.csv").exists()
+
+
+def test_region_nan_box_edge_means_default(tmp_path):
+    default, explicit = tmp_path / "default", tmp_path / "explicit"
+    assert dispatch(["region", "--n", "2", "--grid", "5",
+                     "--out", str(default)]) == 0
+    assert dispatch(["region", "--n", "2", "--grid", "5", "--p-min", "nan",
+                     "--q-max", "nan", "--out", str(explicit)]) == 0
+    # the config lines differ only in "out"
+    assert read_csv(f"{default}.csv")[1:] == read_csv(f"{explicit}.csv")[1:]
+
+
 def test_curves_csv(tmp_path):
     out = tmp_path / "curves"
     assert dispatch(["curves", "--n-min", "2", "--n-max", "6",

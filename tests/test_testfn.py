@@ -171,3 +171,104 @@ def test_holder_norm_rejects_bad_inputs():
         psi_holder_norm(ev, -1.0, 2.0, 1.0)
     with pytest.raises(ValueError):
         psi_holder_norm(ev, 0.0, 1.0, 1.0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda ev: psi_holder_norm(ev, math.inf, 2.0, 1.0),
+    lambda ev: psi_holder_norm(ev, math.nan, 2.0, 1.0),
+    lambda ev: psi_holder_norm(ev, 1e300, 2.0, 1.0),
+    lambda ev: psi_holder_norm(ev, 0.0, math.inf, 1.0),
+    lambda ev: psi_holder_norm(ev, 0.0, math.nan, 1.0),
+    lambda ev: psi_holder_norm(ev, 0.0, 2.0, math.inf),
+    lambda ev: psi_holder_norm(ev, 0.0, 2.0, math.nan),
+    lambda ev: holder_ratio(ev, [0.0, math.nan], 2.0, 1.0),
+    lambda ev: holder_ratio(ev, [0.0, math.inf], 2.0, 1.0),
+    lambda ev: holder_ratio(ev, [0.0, 1.0], math.nan, 1.0),
+    lambda ev: holder_ratio(ev, [0.0, 1.0], 2.0, math.inf),
+    lambda ev: c2_constant(ev, 2.0, 1.0, t_max=math.inf),
+    lambda ev: c2_constant(ev, 2.0, 1.0, t_max=math.nan),
+    lambda ev: c2_constant(ev, math.nan, 1.0),
+    lambda ev: c2_constant(ev, 2.0, math.nan),
+    lambda ev: c2_constant(ev, 2.0, 1.0, num=0),
+    lambda ev: c2_constant(ev, 2.0, 1.0, num=-3),
+], ids=["psi-t-inf", "psi-t-nan", "psi-t-huge", "psi-p-inf", "psi-p-nan",
+        "psi-R-inf", "psi-R-nan", "ratio-t-nan", "ratio-t-inf", "ratio-p-nan",
+        "ratio-R-inf", "c2-tmax-inf", "c2-tmax-nan", "c2-p-nan", "c2-R-nan",
+        "c2-num-0", "c2-num-neg"])
+def test_holder_norms_refuse_non_finite_inputs(call):
+    # each refusal is a ValueError, not an OverflowError or a wrapped panel
+    # count (t = 1e300 needs more panels than any array can hold)
+    with pytest.raises(ValueError):
+        call(PhiEvaluator(2))
+
+
+# c2_constant(PhiEvaluator(n), p, 1.0) as computed with one linspace panel
+# layout per t (equal panels of width <= 0.5 on [0, 1 + t]); at R = 1 every
+# 1 + t of the default grid is a lattice edge, so the layouts coincide
+_C2_AT_R1 = {
+    (1, 1.1): 64300.99878541727, (1, 1.3): 92.94192365950275,
+    (1, 1.5): 27.459580893605487, (1, 2.0): 11.253720815694038,
+    (2, 1.1): 9243438771.396202, (2, 1.3): 15877.155552406944,
+    (2, 1.5): 1140.9627260657144, (2, 2.0): 179.45109047396934,
+    (3, 1.1): 57027019776111.14, (3, 1.3): 788812.925152737,
+    (3, 1.5): 23365.796504982747, (3, 2.0): 1832.856942477606,
+}
+
+
+@pytest.mark.parametrize("n,p", sorted(_C2_AT_R1))
+def test_c2_constant_bit_identical_on_lattice(n, p):
+    assert c2_constant(PhiEvaluator(n), p, 1.0) == _C2_AT_R1[n, p]
+
+
+@pytest.mark.parametrize("R", [1.0, 1.3])
+@pytest.mark.parametrize("n,p", [(1, 1.5), (2, 2.0), (3, 1.1)])
+def test_holder_ratio_equals_per_t_norms(n, p, R):
+    ev = PhiEvaluator(n)
+    ts = np.linspace(0.0, 50.0, 101)
+    expo = (n - 1) * (2.0 - p / (p - 1.0)) / 2.0
+    per_t = np.array([psi_holder_norm(ev, t, p, R) for t in ts])
+    assert np.array_equal(holder_ratio(ev, ts, p, R), per_t / (R + ts) ** expo)
+
+
+@pytest.mark.parametrize("R,t", [(1.3, 0.5), (1.3, 0.7), (0.3, 0.0)])
+@pytest.mark.parametrize("n,p", [(1, 2.0), (2, 2.0), (3, 1.5)])
+def test_holder_norm_off_lattice_against_scipy_quad(n, p, R, t):
+    # R + t = 1.8 ends in a partial panel, 1.3 + 0.7 rounds to the lattice
+    # edge 2.0, and 0.3 is shorter than one panel
+    ev = PhiEvaluator(n)
+    pp = p / (p - 1.0)
+
+    def integrand(r):
+        return math.exp(pp * (ev.log_phi(r) - t)) * r ** (n - 1)
+
+    oracle = sphere_area(n) * quad(integrand, 0.0, R + t, limit=200)[0]
+    assert psi_holder_norm(ev, t, p, R) == pytest.approx(oracle, rel=1e-9)
+
+
+def _count_radii(monkeypatch) -> list:
+    sizes = []
+    log_phi = PhiEvaluator.log_phi
+
+    def counting(self, r):
+        sizes.append(np.size(r))
+        return log_phi(self, r)
+
+    monkeypatch.setattr(PhiEvaluator, "log_phi", counting)
+    return sizes
+
+
+def test_c2_constant_evaluates_each_radius_once(monkeypatch):
+    ev = PhiEvaluator(2)
+    sizes = _count_radii(monkeypatch)
+    c2_constant(ev, 1.5, 1.0)
+    # 102 lattice panels of 16 nodes cover [0, 51]; no partial panel
+    assert sizes == [1632]
+
+
+def test_c2_constant_off_lattice_adds_one_panel_per_t(monkeypatch):
+    ev = PhiEvaluator(2)
+    sizes = _count_radii(monkeypatch)
+    c2_constant(ev, 1.5, 1.3)
+    lattice = 16 * math.floor((1.3 + 50.0) / 0.5)
+    assert len(sizes) == 2
+    assert sum(sizes) <= lattice + 16 * 101
