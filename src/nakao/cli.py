@@ -169,12 +169,18 @@ def cmd_region(cfg: dict) -> int:
            "q_min": q_min, "q_max": q_max}
     scan = region_scan(n, (p_min, p_max), (q_min, q_max), res)
     out = cfg["out"]
+    # the grid repeats res p values, res q values, 4 verdicts and 3 binding
+    # indices, so those columns go as indexed (values, codes) pairs
     write_csv(f"{out}.csv", cfg,
               ["p", "q", "alphaN", "F", "verdict", "binding_component"],
-              [scan.p, scan.q, scan.alpha_n, scan.F, scan.verdict_labels(),
-               scan.binding])
+              [(scan.p[::res], np.repeat(np.arange(res), res)),
+               (scan.q[:res], np.tile(np.arange(res), res)),
+               scan.alpha_n, scan.F,
+               ([v.value for v in Verdict], scan.verdict_code),
+               (np.arange(4), scan.binding)])
     if cfg["svg"]:
-        colors = [_REGION_LABELS[c][1] for c in scan.verdict_code.tolist()]
+        colors = np.array([c for _, c in _REGION_LABELS],
+                          dtype=object)[scan.verdict_code]
         curve_p, curve_q = [], []
         for pv in scan.p[::res]:
             qc = critical_curve_q(n, float(pv), q_max)
@@ -297,12 +303,16 @@ def cmd_report(cfg: dict) -> int:
     params = ProblemParams(n=cfg["n"], p=cfg["p"], q=cfg["q"], R=cfg["R"],
                            epsilon=cfg["epsilon"])
     rep = critical_values(params)
+    F_max = max(rep.F1, rep.F2, rep.F3, rep.F4)
     doc = {
         "config": cfg,
         "alpha_w": rep.alpha_w, "alpha_dw": rep.alpha_dw,
         "alpha_nw": rep.alpha_nw, "alpha0": rep.alpha0,
         "alpha1": rep.alpha1, "alphaN": rep.alpha_n,
         "F1": rep.F1, "F2": rep.F2, "F3": rep.F3, "F4": rep.F4, "F": rep.F,
+        # F is the dimension split; in the blow-up region it drops a larger
+        # F_i only on the n = 4 strip, where split_exact is false
+        "F_max": F_max, "split_exact": rep.F == F_max,
         "verdict": rep.verdict.value,
         "strauss": strauss_exponent(params.n),
         "fujita": fujita_exponent(params.n),

@@ -236,9 +236,6 @@ def diagonal_blowup_bound(n: int) -> float:
 # region scans
 
 _VERDICTS = tuple(Verdict)   # verdict by code
-# verdict text by code; object dtype so that indexing by the codes copies
-# references to four strings, not a fixed-width string per cell
-_CODE_LABELS = np.array([v.value for v in _VERDICTS], dtype=object)
 
 
 @dataclass(frozen=True)
@@ -252,10 +249,6 @@ class RegionScan:
     F: np.ndarray
     verdict_code: np.ndarray   # int codes, in the order of Verdict
     binding: np.ndarray        # 1-based index of the maximal alpha_n component
-
-    def verdict_labels(self) -> np.ndarray:
-        """Verdict text per cell, as an object array."""
-        return _CODE_LABELS[self.verdict_code]
 
 
 def scan_arrays(n: int, P: np.ndarray, Q: np.ndarray):

@@ -244,6 +244,23 @@ def test_report_output(tmp_path):
     assert doc["product_limit"] == pytest.approx(4.768462058062743, rel=1e-9)
 
 
+@pytest.mark.parametrize("p, q, exact", [
+    # inside the n = 4 strip 1 + 1/p - 2p + (5/2)(pq - 1) < 0: F = F1 < F4
+    ("1.5", "1.01", False),
+    ("1.5", "1.5", True),
+])
+def test_report_exposes_split_gap(tmp_path, p, q, exact):
+    out = tmp_path / "rep"
+    assert dispatch(["report", "--n", "4", "--p", p, "--q", q,
+                     "--out", str(out)]) == 0
+    doc = json.loads(Path(f"{out}.json").read_text())
+    assert doc["verdict"] == "blow_up"
+    assert doc["F_max"] == max(doc[f"F{i}"] for i in range(1, 5))
+    assert doc["F"] == doc["F1"]
+    assert doc["split_exact"] is exact
+    assert (doc["F"] == doc["F_max"]) is exact
+
+
 def test_sweep_jobs_accepted_and_echoed(tmp_path, monkeypatch):
     def fake_sweep(*args, **kwargs):
         assert "jobs" not in kwargs

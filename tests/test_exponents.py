@@ -115,7 +115,7 @@ def test_region_scan_shapes_and_verdicts():
     # the shifted component is never strictly maximal for n >= 4 boxes
     assert not np.any(scan.binding == 3)
     scan1 = region_scan(1, (1.1, 5.0), (1.1, 5.0), 5)
-    assert np.all(scan1.verdict_labels() == Verdict.BLOW_UP.value)
+    assert np.all(scan1.verdict_code == list(Verdict).index(Verdict.BLOW_UP))
     corners = region_scan(2, (1.5, 2.5), (1.5, 2.5), 2)
     assert corners.p.size == 4
     with pytest.raises(ValueError):

@@ -1,4 +1,5 @@
 """The columnar CSV writer against the row-at-a-time formatter it replaced."""
+import json
 import math
 from pathlib import Path
 
@@ -14,6 +15,8 @@ from nakao.output import config_line, write_csv
 # -- reference: the per-cell formatter and row writer, kept verbatim ---------
 
 def _ref_native(value):
+    if isinstance(value, np.bool_):
+        return bool(value)
     if isinstance(value, (np.floating,)):
         value = float(value)
     if isinstance(value, (np.integer,)):
@@ -58,12 +61,19 @@ FLOATS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -5e-324,
 INTS = [0, -1, 7, 2**62, -(2**63), 42]
 STRS = ["blow_up", "", "none_known", "x y", "wakasugi_only"]
 MIXED = [None, True, False, 1.5, math.nan, -math.inf, np.float64(0.1 + 0.2),
-         np.int64(-3), 4, "ok", np.float64(math.inf), -0.0]
+         np.int64(-3), 4, "ok", np.float64(math.inf), -0.0, np.bool_(True),
+         np.bool_(False)]
+BOOLS = [True, False, False]
 BLOCK = 4
+LENGTHS = [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 2]
 
 
 def _cycle(values, length):
     return [values[i % len(values)] for i in range(length)]
+
+
+def _codes(values, length):
+    return np.arange(length, dtype=np.int64) % len(values)
 
 
 def _columns(length):
@@ -75,11 +85,25 @@ def _columns(length):
         "mixed": tuple(_cycle(MIXED, length)),
         "mixed_obj": np.array(_cycle(MIXED, length), dtype=object),
         "listed": _cycle(MIXED[::-1], length),
+        "b": np.array(_cycle(BOOLS, length), dtype=bool),
     }
 
 
-@pytest.mark.parametrize("length", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1,
-                                    3 * BLOCK + 2])
+def _indexed_columns(length):
+    """The columns of _columns(length) as (values, codes) pairs."""
+    return {
+        "f": (np.array(FLOATS, dtype=np.float64), _codes(FLOATS, length)),
+        "i": (np.array(INTS, dtype=np.int64), _codes(INTS, length)),
+        "s": (np.array(STRS), _codes(STRS, length)),
+        "label": (np.array(STRS, dtype=object), _codes(STRS, length)[::-1]),
+        "mixed": (tuple(MIXED), _codes(MIXED, length)),
+        "mixed_obj": (np.array(MIXED, dtype=object), _codes(MIXED, length)),
+        "listed": (MIXED[::-1], _codes(MIXED, length)),
+        "b": (np.array(BOOLS, dtype=bool), _codes(BOOLS, length)),
+    }
+
+
+@pytest.mark.parametrize("length", LENGTHS)
 def test_write_csv_matches_row_formatter(tmp_path, monkeypatch, length):
     monkeypatch.setattr(output, "_BLOCK_ROWS", BLOCK)
     cols = _columns(length)
@@ -105,28 +129,82 @@ def test_write_csv_from_rows_transposed(tmp_path):
         [",".join(header)]
 
 
+@pytest.mark.parametrize("block", [1, BLOCK])
+@pytest.mark.parametrize("length", LENGTHS)
+def test_indexed_columns_match_plain(tmp_path, monkeypatch, block, length):
+    monkeypatch.setattr(output, "_BLOCK_ROWS", block)
+    plain, indexed = _columns(length), _indexed_columns(length)
+    header = list(plain)
+    config = {"n": 2}
+    write_csv(tmp_path / "plain.csv", config, header, plain.values())
+    write_csv(tmp_path / "indexed.csv", config, header, indexed.values())
+    assert (tmp_path / "indexed.csv").read_bytes() == \
+        (tmp_path / "plain.csv").read_bytes()
+    # one indexed column among plain ones
+    write_csv(tmp_path / "one.csv", config, header,
+              [indexed["f"]] + list(plain.values())[1:])
+    assert (tmp_path / "one.csv").read_bytes() == \
+        (tmp_path / "plain.csv").read_bytes()
+
+
+def test_numpy_bools_spelled_like_bools(tmp_path):
+    write_csv(tmp_path / "b.csv", {}, ["b", "mixed"],
+              [np.array([True, False]), [np.bool_(False), 1.5]])
+    assert (tmp_path / "b.csv").read_text().splitlines()[2:] == \
+        ["true,false", "false,1.5"]
+    output.write_json(tmp_path / "b.json",
+                      {"a": np.bool_(True), "v": np.array([False, True])})
+    assert json.loads((tmp_path / "b.json").read_text()) == \
+        {"a": True, "v": [False, True]}
+
+
 def test_write_csv_rejects_ragged_columns(tmp_path):
-    with pytest.raises(ValueError):
-        write_csv(tmp_path / "a.csv", {}, ["a", "b"], [np.zeros(2)])
-    with pytest.raises(ValueError):
-        write_csv(tmp_path / "b.csv", {}, ["a", "b"],
-                  [np.zeros(2), np.zeros(3)])
+    for columns in (
+            [np.zeros(2)],
+            [np.zeros(2), np.zeros(3)],
+            [np.zeros(2), (np.zeros(2), np.array([0, -1]))],   # negative code
+            [np.zeros(2), (np.zeros(2), np.array([0, 2]))],    # code past end
+            [np.zeros(2), (np.zeros(2), np.array([0.0, 1.0]))],  # float codes
+            [np.zeros(2), (np.zeros(2), np.array([0, 1, 1]))],
+            [(np.zeros(2), np.array([1, 0])), np.zeros(3)]):
+        path = tmp_path / "a.csv"
+        with pytest.raises(ValueError):
+            write_csv(path, {}, ["a", "b"], columns)
+        assert not path.exists()
+
+
+_REGION_HEADER = ["p", "q", "alphaN", "F", "verdict", "binding_component"]
+_VERDICT_NAMES = {0: "blow_up", 1: "wakasugi_only", 2: "none_known",
+                  3: "inadmissible"}
 
 
 def test_region_csv_matches_scan_arrays(tmp_path):
-    out = tmp_path / "reg"
-    res = 37
-    assert dispatch(["region", "--n", "2", "--grid", str(res),
-                     "--out", str(out)]) == 0
-    # default box for n = 2: (1 + 5/res, 6] on both axes
-    axis = np.linspace(1.0 + 5.0 / res, 6.0, res)
-    P, Q = (a.ravel() for a in np.meshgrid(axis, axis, indexing="ij"))
-    aN, F, codes, binding = scan_arrays(2, P, Q)
-    names = {0: "blow_up", 1: "wakasugi_only", 2: "none_known",
-             3: "inadmissible"}
-    rows = [(float(p), float(q), float(a), float(f), names[int(c)], int(b))
-            for p, q, a, f, c, b in zip(P, Q, aN, F, codes, binding)]
-    header = ["p", "q", "alphaN", "F", "verdict", "binding_component"]
-    body = Path(f"{out}.csv").read_text().splitlines()[1:]
-    assert body == _ref_lines(header, rows)
-    assert len(set(codes.tolist())) > 1 and len(set(binding.tolist())) > 1
+    for n, box, res in [
+            # default box for n = 2: (1 + 5/res, 6] on both axes
+            (2, None, 37),
+            # off the lattice: every p and q prints all its digits
+            (2, (1.0123, 5.91, 1.0071, 6.07), 23),
+            # crosses the n = 3 admissibility cap: all four verdicts and all
+            # three binding components
+            (3, (1.01, 3.6, 1.01, 3.6), 41)]:
+        out = tmp_path / f"reg{n}_{res}"
+        argv = ["region", "--n", str(n), "--grid", str(res), "--out", str(out)]
+        if box is None:
+            box = (1.0 + 5.0 / res, 6.0) * 2
+        else:
+            argv += [f"--{k}={v!r}" for k, v in
+                     zip(("p-min", "p-max", "q-min", "q-max"), box)]
+        assert dispatch(argv) == 0
+        P, Q = (a.ravel() for a in np.meshgrid(
+            np.linspace(box[0], box[1], res), np.linspace(box[2], box[3], res),
+            indexing="ij"))
+        aN, F, codes, binding = scan_arrays(n, P, Q)
+        rows = [(float(p), float(q), float(a), float(f),
+                 _VERDICT_NAMES[int(c)], int(b))
+                for p, q, a, f, c, b in zip(P, Q, aN, F, codes, binding)]
+        body = Path(f"{out}.csv").read_text().splitlines()[1:]
+        assert body == _ref_lines(_REGION_HEADER, rows)
+        assert len(set(codes.tolist())) > 1 and len(set(binding.tolist())) > 1
+        if n == 3:
+            assert set(codes.tolist()) == {0, 1, 2, 3}
+            assert set(binding.tolist()) == {1, 2, 3}
