@@ -14,8 +14,8 @@ from .pde import FunctionalTrace, InitialDataSpec, Numerics, RadialField, run
 from .slicing import (ConstantMode, DataConstants, InitMode, IterationConfig,
                       SlicingState, closed_form_exponents, initial_state,
                       iterate, iteration_bounds, lifespan_upper_bound,
-                      log_lower_bounds, partial_product, product_limit,
-                      slice_factor, thresholds, weighted_sum)
+                      log_lower_bounds, product_limit, slice_factor,
+                      thresholds)
 from .testfn import PhiEvaluator, c2_constant, holder_ratio, psi_holder_norm
 
 __version__ = "0.1.0"
@@ -30,8 +30,7 @@ __all__ = [
     "ConstantMode", "DataConstants", "InitMode", "IterationConfig",
     "SlicingState", "closed_form_exponents", "initial_state", "iterate",
     "iteration_bounds", "lifespan_upper_bound", "log_lower_bounds",
-    "partial_product", "product_limit", "slice_factor", "thresholds",
-    "weighted_sum",
+    "product_limit", "slice_factor", "thresholds",
     "PhiEvaluator", "c2_constant", "holder_ratio", "psi_holder_norm",
     "__version__",
 ]

@@ -32,7 +32,7 @@ class ProblemParams:
 
     n: space dimension; p, q: nonlinearity exponents (|v|^p drives the damped
     component, |u|^q the free one); R: radius of the initial-data support;
-    epsilon: data size.
+    epsilon: data size.  All four are finite.
     """
 
     n: int
@@ -44,6 +44,10 @@ class ProblemParams:
     def __post_init__(self) -> None:
         if not isinstance(self.n, int) or self.n < 1:
             raise ValueError(f"n must be a positive integer, got {self.n!r}")
+        for name in ("p", "q", "R", "epsilon"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got "
+                                 f"{getattr(self, name)}")
         if not self.p > 1.0:
             raise ValueError(f"p must exceed 1, got {self.p}")
         if not self.q > 1.0:

@@ -8,14 +8,15 @@ included (even data on the line): an even-symmetry ghost at the origin gives
 the regularized Laplacian n * u_rr(0), and the outer boundary is homogeneous
 Dirichlet, which the light cone never reaches.
 
-`run` steps and measures only the exact nonzero span of the solution (see
-RadialField.span), in buffers allocated once per field; every value equals
-that of the whole-grid computation bit for bit.  The level arrays may carry a
-trailing epsilon axis, shape (nodes, k): `blowup_times` steps a whole ladder
-of amplitudes that way, one column per epsilon, and each column's blow-up
-time equals that of its own `run` bit for bit.  Both drivers flag blow-up
-by one test, `_crossed`: max|u| + max|v| past the threshold, or a
-non-finite maximum.
+One leapfrog loop, `_march`, steps and measures only the exact nonzero span
+of the solution (see RadialField.span), in buffers allocated once per field;
+every value equals that of the whole-grid computation bit for bit.  The level
+arrays may carry a trailing epsilon axis, shape (nodes, k): `blowup_times`
+marches a whole ladder of amplitudes that way, one column per epsilon, and
+`run` marches one column with an observer that records the diagnostics, so
+each column's blow-up time equals that of its own `run` bit for bit.
+Blow-up is flagged by one test, `_crossed`: max|u| + max|v| past the
+threshold, or a non-finite maximum.
 """
 from __future__ import annotations
 
@@ -68,8 +69,10 @@ class InitialDataSpec:
         if self.shape not in ("bump", "cosine"):
             raise ValueError(f"unknown profile shape {self.shape!r}")
         for name in ("amp_u0", "amp_u1", "amp_v0", "amp_v1"):
-            if getattr(self, name) < 0.0:
-                raise ValueError(f"{name} must be nonnegative")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0.0):
+                raise ValueError(f"{name} must be finite and nonnegative, "
+                                 f"got {value}")
 
 
 def profile(shape: str, r: np.ndarray, R: float) -> np.ndarray:
@@ -140,22 +143,21 @@ class _Work:
 
     src_u, src_v (the sources |v|^p, |u|^q) and v_phi are zero outside the
     span: step zeroes the nodes it trims, so whole-grid dots over them equal
-    those of the whole-grid computation.  coef = (n-1)/x is the first-order
-    radial coefficient on the interior nodes, repeated in every column of a
-    batch (a broadcast (nodes, 1) operand makes numpy loop over the few
-    columns, ~5x slower); None at n = 1, where the term vanishes.  The
-    diagnostic buffers (v_phi, abs_*, mask_*) serve run's per-step
-    measurements and are None for a batch, which takes none.
+    those of the whole-grid computation.  lap and acc are step's scratch,
+    free between steps: _march forms |u| and |v| in them.  coef = (n-1)/x is
+    the first-order radial coefficient on the interior nodes, repeated in
+    every column of a batch (a broadcast (nodes, 1) operand makes numpy loop
+    over the few columns, ~5x slower); None at n = 1, where the term
+    vanishes.  v_phi and mask_* serve functionals and support_radius, which
+    take 1-D levels only, and are None for a batch.
     """
 
     def __init__(self, n: int, x: np.ndarray, shape: tuple[int, ...]) -> None:
         self.lap, self.acc = np.zeros(shape), np.zeros(shape)
         self.src_u, self.src_v = np.zeros(shape), np.zeros(shape)
-        self.v_phi = self.abs_u = self.abs_v = None
-        self.mask_u = self.mask_v = None
+        self.v_phi = self.mask_u = self.mask_v = None
         if len(shape) == 1:
             self.v_phi = np.zeros(shape)
-            self.abs_u, self.abs_v = np.zeros(shape), np.zeros(shape)
             self.mask_u = np.zeros(shape, dtype=bool)
             self.mask_v = np.zeros(shape, dtype=bool)
         self.coef = None
@@ -280,7 +282,7 @@ def step(field: RadialField, params: ProblemParams, src_u: np.ndarray,
     A batched field (levels of shape (nodes, k)) advances every column, each
     exactly as it would advance alone.
     src_u / src_v are the sources of u and v, in the shape of the levels:
-    |v|^p and |u|^q for the coupled system (the drivers form them into
+    |v|^p and |u|^q for the coupled system (_march forms them into
     field.work.src_u / src_v), plus any forcing; zero arrays give the free,
     uncoupled wave.  The update reads p and q only through them; params
     stays in the signature so that a tracer can read R from it.
@@ -384,18 +386,6 @@ def functionals(field: RadialField, phi_values: np.ndarray):
     return U, V, V1
 
 
-def _magnitudes(field: RadialField):
-    """|u| and |v| on field.window (views of the field's buffers) and their
-    maxima."""
-    lo, hi = field.window
-    abs_u = np.abs(field.u[lo:hi], out=field.work.abs_u[lo:hi])
-    abs_v = np.abs(field.v[lo:hi], out=field.work.abs_v[lo:hi])
-    if lo == hi:
-        return abs_u, abs_v, 0.0, 0.0
-    return (abs_u, abs_v, float(np.maximum.reduce(abs_u)),
-            float(np.maximum.reduce(abs_v)))
-
-
 def support_radius(field: RadialField, tol: float = 1.0, mags=None) -> float:
     """Largest radius carrying amplitude above the accumulated-truncation floor:
     the radius of the last such node, since the grid radii increase.
@@ -409,12 +399,15 @@ def support_radius(field: RadialField, tol: float = 1.0, mags=None) -> float:
     in general: 3.1h was measured at n = 3, h = 0.01, t = 40 (the benchmark's
     radial-n3 workload).  A transport or stencil bug would still blast far
     through it.  tol must be nonnegative, since nodes outside field.window
-    count as zero amplitude.  mags = _magnitudes(field), when the caller has
-    it already.
+    count as zero amplitude.  mags = (|u|, |v|, max|u|, max|v|) on
+    field.window, when the caller has them already (_march does).
     """
-    abs_u, abs_v, m_u, m_v = _magnitudes(field) if mags is None else mags
-    floor = tol * field.h * field.h * (1.0 + field.t)
     lo, hi = field.window
+    if mags is None:
+        abs_u, abs_v = np.abs(field.u[lo:hi]), np.abs(field.v[lo:hi])
+        mags = (abs_u, abs_v, _max(abs_u), _max(abs_v))
+    abs_u, abs_v, m_u, m_v = mags
+    floor = tol * field.h * field.h * (1.0 + field.t)
     mask_u, mask_v = field.work.mask_u[lo:hi], field.work.mask_v[lo:hi]
     if m_u > 0.0:
         mask = np.greater(abs_u, floor * m_u, out=mask_u)
@@ -508,60 +501,39 @@ def run(params: ProblemParams, spec: InitialDataSpec,
 
     Blow-up is flagged the first time max|u| + max|v| crosses the threshold
     (or any value goes non-finite), by the test blowup_times uses too.  The
-    reported time is threshold-dependent by design.
-    Stepping and the per-step diagnostics cover the exact nonzero span only
-    (RadialField.span), taken from the initial data.
+    reported time is threshold-dependent by design.  The record of each time
+    level, the crossing one included, is taken on the exact nonzero span
+    (see _march).
     """
     fld, moments = make_initial_data(params, spec, numerics)
     phi_vals = PhiEvaluator(params.n).phi(fld.x)
-    n_steps = int(round(numerics.t_max / fld.dt))
-    fld.span = _nonzero_span(fld)
-    wk = fld.work
+    # per time level: t, U, V, V1, max|u|, max|v|, the two source integrals
+    # and the support radius's excess over R + t
+    record: list[float] = []
 
-    times, Us, Vs, V1s = [], [], [], []
-    mus, mvs, sus, svs = [], [], [], []
-    t_blowup = None
-    reason = BlowupReason.NONE
-    max_excess = -math.inf
+    def observe(fld: RadialField, mags) -> None:
+        wk = fld.work
+        record.extend((fld.t, *functionals(fld, phi_vals), mags[2], mags[3],
+                       float(fld.w @ wk.src_u), float(fld.w @ wk.src_v),
+                       support_radius(fld, mags=mags) - (params.R + fld.t)))
 
-    for k in range(n_steps + 1):
-        lo, hi = fld.span
-        _pow_abs(fld.v[lo:hi], params.p, out=wk.src_u[lo:hi])
-        _pow_abs(fld.u[lo:hi], params.q, out=wk.src_v[lo:hi])
-        U, V, V1 = functionals(fld, phi_vals)
-        mags = _magnitudes(fld)
-        m_u, m_v = mags[2], mags[3]
-        times.append(fld.t)
-        Us.append(U)
-        Vs.append(V)
-        V1s.append(V1)
-        mus.append(m_u)
-        mvs.append(m_v)
-        sus.append(float(fld.w @ wk.src_u))
-        svs.append(float(fld.w @ wk.src_v))
-        max_excess = max(max_excess,
-                         support_radius(fld, mags=mags)
-                         - (params.R + fld.t))
-        if _crossed(m_u, m_v, numerics.threshold):
-            t_blowup = fld.t
-            reason = BlowupReason.MAX_NORM
-            break
-        if k == n_steps:
-            break
-        step(fld, params, src_u=wk.src_u, src_v=wk.src_v)
-
-    times = np.asarray(times)
-    U_arr, V_arr = np.asarray(Us), np.asarray(Vs)
-    su_arr, sv_arr = np.asarray(sus), np.asarray(svs)
-    res_u, res_v = balance_residuals(times, U_arr, V_arr, su_arr, sv_arr,
+    (t_blowup,) = _march(fld, params, numerics, observe)
+    times, U, V, V1, max_u, max_v, src_u, src_v, excess = (
+        np.reshape(record, (-1, 9)).T.copy())
+    res_u, res_v = balance_residuals(times, U, V, src_u, src_v,
                                      moments.du0, moments.dv0)
-    return FunctionalTrace(times=times, U=U_arr, V=V_arr, V1=np.asarray(V1s),
-                           max_u=np.asarray(mus), max_v=np.asarray(mvs),
-                           src_u=su_arr, src_v=sv_arr,
-                           res_u=res_u, res_v=res_v,
-                           t_blowup=t_blowup, reason=reason,
-                           support_max_excess=max_excess,
+    return FunctionalTrace(times=times, U=U, V=V, V1=V1, max_u=max_u,
+                           max_v=max_v, src_u=src_u, src_v=src_v,
+                           res_u=res_u, res_v=res_v, t_blowup=t_blowup,
+                           reason=(BlowupReason.NONE if t_blowup is None
+                                   else BlowupReason.MAX_NORM),
+                           support_max_excess=float(excess.max()),
                            du0=moments.du0, dv0=moments.dv0)
+
+
+def _max(a: np.ndarray) -> float:
+    """Largest entry of a nonnegative array; 0.0 when it is empty."""
+    return float(np.maximum.reduce(a, axis=None, initial=0.0))
 
 
 def _crossed(m_u: float, m_v: float, threshold: float) -> bool:
@@ -569,6 +541,58 @@ def _crossed(m_u: float, m_v: float, threshold: float) -> bool:
     threshold."""
     finite = math.isfinite(m_u) and math.isfinite(m_v)
     return not finite or m_u + m_v > threshold
+
+
+def _march(fld: RadialField, params: ProblemParams, numerics: Numerics,
+           observe=None) -> list[float | None]:
+    """Leapfrog fld to t_max or until every column has crossed; the blow-up
+    time of each column (None where it reaches t_max), one entry for 1-D
+    levels.
+
+    Stepping covers the exact nonzero span of the levels.  At each time level
+    |u| and |v| are formed once on the span, into work.lap and work.acc, and
+    the columns that crossed are retired.  The per-column maxima are formed
+    only when the maxima over all columns cross: rounding is monotone, so no
+    column can cross before that.  Then the sources are formed and, if given,
+    observe(fld, (|u|, |v|, max|u|, max|v|)) is called (1-D levels only), at
+    every time level up to the last: t_max or the crossing.
+    """
+    # original index of each live column
+    cols = list(range(fld.u.shape[1] if fld.u.ndim == 2 else 1))
+    t_blowup: list[float | None] = [None] * len(cols)
+    n_steps = int(round(numerics.t_max / fld.dt))
+    fld.span = _nonzero_span(fld)
+
+    for k in range(n_steps + 1):
+        lo, hi = fld.span
+        wk = fld.work
+        abs_u = np.abs(fld.u[lo:hi], out=wk.lap[lo:hi])
+        abs_v = np.abs(fld.v[lo:hi], out=wk.acc[lo:hi])
+        m_u, m_v = _max(abs_u), _max(abs_v)
+        if _crossed(m_u, m_v, numerics.threshold):
+            # rows are nodes and columns the live epsilons, 1-D levels too
+            col_u, col_v = (np.maximum.reduce(a.reshape(hi - lo, len(cols)),
+                                              axis=0, initial=0.0).tolist()
+                            for a in (abs_u, abs_v))
+            done = [_crossed(a, b, numerics.threshold)
+                    for a, b in zip(col_u, col_v)]
+            for j, d in zip(cols, done):
+                if d:
+                    t_blowup[j] = fld.t
+            cols = [j for j, d in zip(cols, done) if not d]
+            if cols and any(done):
+                keep = np.logical_not(done)
+                for name in ("u", "u_prev", "v", "v_prev"):
+                    setattr(fld, name, getattr(fld, name)[:, keep])
+                fld.work = wk = _Work(fld.n, fld.x, fld.u.shape)
+        _pow_abs(fld.v[lo:hi], params.p, out=wk.src_u[lo:hi])
+        _pow_abs(fld.u[lo:hi], params.q, out=wk.src_v[lo:hi])
+        if observe is not None:
+            observe(fld, (abs_u, abs_v, m_u, m_v))
+        if not cols or k == n_steps:
+            break
+        step(fld, params, src_u=wk.src_u, src_v=wk.src_v)
+    return t_blowup
 
 
 def _stacked_initial_data(params: ProblemParams, epsilons: list[float],
@@ -593,51 +617,12 @@ def blowup_times(params: ProblemParams, epsilons, spec: InitialDataSpec,
                  numerics: Numerics) -> list[float | None]:
     """Blow-up time of run(replace(params, epsilon=e), spec, numerics) for
     each e in epsilons (None where it reaches t_max), bit for bit, from one
-    leapfrog loop over all of them.
-
-    The levels of every epsilon are stacked as the columns of one (nodes, k)
-    field, stepped on the union of their nonzero spans.  Each step retires
-    the columns whose max|u| and max|v| crossed, then steps the rest.  The
-    per-column maxima are formed only when the maxima over all columns cross:
-    rounding is monotone, so no column can cross before that.  No
-    functionals, support radii or residuals are formed.
+    march of all of them: the levels of every epsilon are stacked as the
+    columns of one (nodes, k) field.  No functionals, support radii or
+    residuals are formed.
     """
     eps = [float(e) for e in epsilons]
-    t_blowup: list[float | None] = [None] * len(eps)
     if not eps:
-        return t_blowup
-    fld = _stacked_initial_data(params, eps, spec, numerics)
-    n_steps = int(round(numerics.t_max / fld.dt))
-    fld.span = _nonzero_span(fld)
-    cols = list(range(len(eps)))   # original index of each live column
-
-    for k in range(n_steps + 1):
-        lo, hi = fld.span
-        wk = fld.work
-        # wk.lap and wk.acc are free scratch between steps
-        abs_u = np.abs(fld.u[lo:hi], out=wk.lap[lo:hi])
-        abs_v = np.abs(fld.v[lo:hi], out=wk.acc[lo:hi])
-        if _crossed(float(np.maximum.reduce(abs_u, axis=None, initial=0.0)),
-                    float(np.maximum.reduce(abs_v, axis=None, initial=0.0)),
-                    numerics.threshold):
-            m_u = np.maximum.reduce(abs_u, axis=0, initial=0.0).tolist()
-            m_v = np.maximum.reduce(abs_v, axis=0, initial=0.0).tolist()
-            done = [_crossed(a, b, numerics.threshold)
-                    for a, b in zip(m_u, m_v)]
-            for j, d in zip(cols, done):
-                if d:
-                    t_blowup[j] = fld.t
-            cols = [j for j, d in zip(cols, done) if not d]
-            if not cols:
-                break
-            if any(done):
-                keep = np.logical_not(done)
-                for name in ("u", "u_prev", "v", "v_prev"):
-                    setattr(fld, name, getattr(fld, name)[:, keep])
-                fld.work = wk = _Work(fld.n, fld.x, fld.u.shape)
-        if k == n_steps:
-            break
-        _pow_abs(fld.v[lo:hi], params.p, out=wk.src_u[lo:hi])
-        _pow_abs(fld.u[lo:hi], params.q, out=wk.src_v[lo:hi])
-        step(fld, params, src_u=wk.src_u, src_v=wk.src_v)
-    return t_blowup
+        return []
+    return _march(_stacked_initial_data(params, eps, spec, numerics),
+                  params, numerics)

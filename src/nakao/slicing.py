@@ -91,16 +91,6 @@ def slice_factor(k: int, pq: float) -> float:
     return 1.0 + pq ** ((1.0 - k) / 2.0)
 
 
-def partial_product(j: int, pq: float) -> float:
-    """L_j = prod_{k<=j} ell_k."""
-    if j < 1:
-        raise ValueError(f"j must be >= 1, got {j}")
-    out = 1.0
-    for k in range(1, j + 1):
-        out *= slice_factor(k, pq)
-    return out
-
-
 def product_limit(pq: float, tol: float = 1e-12) -> float:
     """L = lim L_j, accumulated in log space until the geometric tail of
     sum log ell_k (bounded via log(1+x) <= x) drops below tol."""
@@ -262,21 +252,6 @@ def closed_form_deviation(state: SlicingState, config: IterationConfig) -> float
     return math.nan if any(math.isnan(d) for d in devs) else max(devs)
 
 
-def weighted_sum(j: int, pq: float):
-    """(brute-force, closed-form) values of
-    sum_{k=1}^{(j-1)/2} (j+2-2k)(pq)^{k-1}
-      = ((2pq/(pq-1)) (1.5 (pq)^{(j-1)/2} - 0.5 (pq)^{(j-3)/2} - 1) - j)/(pq-1)."""
-    if j < 3 or j % 2 == 0:
-        raise ValueError(f"the identity covers odd j >= 3, got {j}")
-    if pq <= 1.0:
-        raise ValueError(f"pq must exceed 1, got {pq}")
-    brute = sum((j + 2 - 2 * k) * pq ** (k - 1) for k in range(1, (j - 1) // 2 + 1))
-    closed = ((2.0 * pq / (pq - 1.0))
-              * (1.5 * pq ** ((j - 1) / 2.0) - 0.5 * pq ** ((j - 3) / 2.0) - 1.0)
-              - j) / (pq - 1.0)
-    return brute, closed
-
-
 # ---------------------------------------------------------------------------
 # certified lower bounds, thresholds, lifespan
 
@@ -382,26 +357,6 @@ def _side_data(config: IterationConfig):
     x_u = alpha1 + beta1 + c_beta - n
     x_v = a1 + b1 + c_b + n
     return (f_u, x_u, name_u), (f_v, x_v, name_v)
-
-
-def log_functional_bound_u(t: float, j: int, config: IterationConfig,
-                           bounds: IterationBounds | None = None,
-                           limit: float | None = None) -> float:
-    """log of the U lower bound at time t and odd index j, for t >= max(R, 2L):
-    (pq)^{(j-1)/2} (G_u - X_u log 2 + pF log t) + n log(R+t) - c_beta log(t-L)."""
-    if bounds is None:
-        bounds = iteration_bounds(config)
-    params = config.params
-    if limit is None:
-        limit = product_limit(params.pq)
-    if t < max(params.R, 2.0 * limit):
-        raise ValueError("the simplified bound needs t >= max(R, 2L)")
-    (f_u, x_u, _), _ = _side_data(config)
-    c_beta, _ = _geometric_coeffs(params)
-    g = params.pq ** ((j - 1) / 2.0)
-    return (g * (bounds.growth_u - x_u * math.log(2.0)
-                 + params.p * f_u * math.log(t))
-            + params.n * math.log(params.R + t) - c_beta * math.log(t - limit))
 
 
 @dataclass(frozen=True)

@@ -97,37 +97,6 @@ class PhiEvaluator:
         """Phi(r) itself (overflows past r ~ 709 like e^r does)."""
         return np.exp(self.log_phi(r))
 
-    def asymptotic_ratio(self, r):
-        """r^{(n-1)/2} e^{-r} Phi(r); tends to a positive constant."""
-        arr = np.asarray(r, dtype=float)
-        return np.exp(self.log_phi(arr) - arr + 0.5 * (self.n - 1) * np.log(arr))
-
-
-def laplacian_residual(evaluator: PhiEvaluator, r_grid, h: float) -> float:
-    """max |Phi'' + (n-1)/r Phi' - Phi| over the grid, derivatives by central
-    differences of step h.  Decays like h^2 where the quadrature is converged."""
-    r = np.asarray(r_grid, dtype=float)
-    if np.any(r - h <= 0.0):
-        raise ValueError("grid must keep r - h > 0")
-    fm, f0, fp = evaluator.phi(r - h), evaluator.phi(r), evaluator.phi(r + h)
-    second = (fp - 2.0 * f0 + fm) / (h * h)
-    first = (fp - fm) / (2.0 * h)
-    res = second + (evaluator.n - 1) / r * first - f0
-    return float(np.max(np.abs(res)))
-
-
-def wave_residual(evaluator: PhiEvaluator, r_grid, t: float, h: float,
-                  dt: float) -> float:
-    """max |Psi_tt - (Psi'' + (n-1)/r Psi')| for Psi = e^{-t} Phi, all three
-    derivatives by central differences; bounded by quadrature + stencil error."""
-    r = np.asarray(r_grid, dtype=float)
-    phi_m, phi_0, phi_p = (evaluator.phi(r - h), evaluator.phi(r),
-                           evaluator.phi(r + h))
-    psi_tt = phi_0 * math.exp(-t) * (math.exp(dt) - 2.0 + math.exp(-dt)) / (dt * dt)
-    lap = ((phi_p - 2.0 * phi_0 + phi_m) / (h * h)
-           + (evaluator.n - 1) / r * (phi_p - phi_m) / (2.0 * h)) * math.exp(-t)
-    return float(np.max(np.abs(psi_tt - lap)))
-
 
 def _panel_terms(evaluator: PhiEvaluator, lo: np.ndarray,
                  hi: np.ndarray) -> np.ndarray:

@@ -1,0 +1,90 @@
+"""Reference computations that only the tests use: brute-force forms of
+slicing identities, the simplified U lower bound, and finite-difference
+residuals and the asymptotic ratio of Phi.  The package itself never needs
+them, so they live next to the assertions that check against them."""
+import math
+
+import numpy as np
+
+from nakao.slicing import (IterationBounds, IterationConfig,
+                           _geometric_coeffs, _side_data, iteration_bounds,
+                           product_limit, slice_factor)
+from nakao.testfn import PhiEvaluator
+
+
+def partial_product(j: int, pq: float) -> float:
+    """L_j = prod_{k<=j} ell_k."""
+    if j < 1:
+        raise ValueError(f"j must be >= 1, got {j}")
+    out = 1.0
+    for k in range(1, j + 1):
+        out *= slice_factor(k, pq)
+    return out
+
+
+def weighted_sum(j: int, pq: float):
+    """(brute-force, closed-form) values of
+    sum_{k=1}^{(j-1)/2} (j+2-2k)(pq)^{k-1}
+      = ((2pq/(pq-1)) (1.5 (pq)^{(j-1)/2} - 0.5 (pq)^{(j-3)/2} - 1) - j)/(pq-1)."""
+    if j < 3 or j % 2 == 0:
+        raise ValueError(f"the identity covers odd j >= 3, got {j}")
+    if pq <= 1.0:
+        raise ValueError(f"pq must exceed 1, got {pq}")
+    brute = sum((j + 2 - 2 * k) * pq ** (k - 1) for k in range(1, (j - 1) // 2 + 1))
+    closed = ((2.0 * pq / (pq - 1.0))
+              * (1.5 * pq ** ((j - 1) / 2.0) - 0.5 * pq ** ((j - 3) / 2.0) - 1.0)
+              - j) / (pq - 1.0)
+    return brute, closed
+
+
+def log_functional_bound_u(t: float, j: int, config: IterationConfig,
+                           bounds: IterationBounds | None = None,
+                           limit: float | None = None) -> float:
+    """log of the U lower bound at time t and odd index j, for t >= max(R, 2L):
+    (pq)^{(j-1)/2} (G_u - X_u log 2 + pF log t) + n log(R+t) - c_beta log(t-L)."""
+    if bounds is None:
+        bounds = iteration_bounds(config)
+    params = config.params
+    if limit is None:
+        limit = product_limit(params.pq)
+    if t < max(params.R, 2.0 * limit):
+        raise ValueError("the simplified bound needs t >= max(R, 2L)")
+    (f_u, x_u, _), _ = _side_data(config)
+    c_beta, _ = _geometric_coeffs(params)
+    g = params.pq ** ((j - 1) / 2.0)
+    return (g * (bounds.growth_u - x_u * math.log(2.0)
+                 + params.p * f_u * math.log(t))
+            + params.n * math.log(params.R + t) - c_beta * math.log(t - limit))
+
+
+def asymptotic_ratio(evaluator: PhiEvaluator, r):
+    """r^{(n-1)/2} e^{-r} Phi(r); tends to a positive constant."""
+    arr = np.asarray(r, dtype=float)
+    return np.exp(evaluator.log_phi(arr) - arr
+                  + 0.5 * (evaluator.n - 1) * np.log(arr))
+
+
+def laplacian_residual(evaluator: PhiEvaluator, r_grid, h: float) -> float:
+    """max |Phi'' + (n-1)/r Phi' - Phi| over the grid, derivatives by central
+    differences of step h.  Decays like h^2 where the quadrature is converged."""
+    r = np.asarray(r_grid, dtype=float)
+    if np.any(r - h <= 0.0):
+        raise ValueError("grid must keep r - h > 0")
+    fm, f0, fp = evaluator.phi(r - h), evaluator.phi(r), evaluator.phi(r + h)
+    second = (fp - 2.0 * f0 + fm) / (h * h)
+    first = (fp - fm) / (2.0 * h)
+    res = second + (evaluator.n - 1) / r * first - f0
+    return float(np.max(np.abs(res)))
+
+
+def wave_residual(evaluator: PhiEvaluator, r_grid, t: float, h: float,
+                  dt: float) -> float:
+    """max |Psi_tt - (Psi'' + (n-1)/r Psi')| for Psi = e^{-t} Phi, all three
+    derivatives by central differences; bounded by quadrature + stencil error."""
+    r = np.asarray(r_grid, dtype=float)
+    phi_m, phi_0, phi_p = (evaluator.phi(r - h), evaluator.phi(r),
+                           evaluator.phi(r + h))
+    psi_tt = phi_0 * math.exp(-t) * (math.exp(dt) - 2.0 + math.exp(-dt)) / (dt * dt)
+    lap = ((phi_p - 2.0 * phi_0 + phi_m) / (h * h)
+           + (evaluator.n - 1) / r * (phi_p - phi_m) / (2.0 * h)) * math.exp(-t)
+    return float(np.max(np.abs(psi_tt - lap)))

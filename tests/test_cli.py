@@ -63,6 +63,23 @@ def test_infinite_numerics_exit_2_without_output(tmp_path, command, key):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("argv,name", [
+    (["simulate", "--n", "1", "--p", "2", "--q", "2", "--epsilon", "inf"],
+     "epsilon"),
+    (["sweep", "--n", "1", "--p", "2", "--q", "2",
+      "--epsilons", "inf,0.3,0.2,0.1"], "epsilon"),
+    (["report", "--n", "2", "--p", "inf", "--q", "2"], "p"),
+    (["simulate", "--n", "1", "--p", "inf", "--q", "2"], "p"),
+    (["simulate", "--n", "1", "--p", "2", "--q", "2", "--amp-v1", "inf"],
+     "amp_v1"),
+])
+def test_non_finite_params_exit_2_naming_them(tmp_path, capsys, argv, name):
+    # an infinite epsilon used to give an all-nan trace reported as blow-up
+    assert dispatch([*argv, "--out", str(tmp_path / "o")]) == 2
+    assert f"error: {name} must be finite" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_invalid_params_exit_2(tmp_path):
     assert dispatch(["report", "--n", "1", "--p", "0.5", "--q", "2",
                      "--out", str(tmp_path / "r")]) == 2

@@ -32,6 +32,16 @@ def test_params_validation():
         ProblemParams(1, 2.0, 2.0, epsilon=0.0)
 
 
+@pytest.mark.parametrize("name", ["p", "q", "R", "epsilon"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_params_non_finite_refused(name, value):
+    # inf passes every ordering check and nan fails them all; both must be
+    # refused by name
+    kwargs = {"n": 1, "p": 2.0, "q": 2.0, name: value}
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        ProblemParams(**kwargs)
+
+
 def test_critical_values_n2_pq2():
     rep = critical_values(ProblemParams(2, 2.0, 2.0))
     assert rep.alpha_n == pytest.approx(5.0 / 6.0, rel=1e-14)

@@ -8,9 +8,10 @@ import numpy as np
 from nakao.params import ProblemParams
 from nakao.pde import InitialDataSpec, Numerics, run
 from nakao.slicing import (ConstantMode, DataConstants, InitMode,
-                           IterationConfig, iteration_bounds,
-                           log_functional_bound_u, product_limit)
+                           IterationConfig, iteration_bounds, product_limit)
 from nakao.testfn import PhiEvaluator, c2_constant
+
+from oracles import log_functional_bound_u
 
 
 def test_explicit_constants_from_measured_run():

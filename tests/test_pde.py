@@ -57,6 +57,14 @@ def test_initial_data_validation():
             make_initial_data(P122, SPEC, Numerics(t_max=1.0, r_max=r_max))
 
 
+@pytest.mark.parametrize("name", ["amp_u0", "amp_u1", "amp_v0", "amp_v1"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_non_finite_amplitude_refused(name, value):
+    # nan < 0 is false, so a sign check alone lets nan through
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        InitialDataSpec(**{name: value})
+
+
 @pytest.mark.parametrize("name", ["h", "t_max", "threshold"])
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_non_finite_numerics_refused(name, value):

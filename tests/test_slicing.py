@@ -10,9 +10,10 @@ from nakao.slicing import (ConstantMode, DataConstants, InitMode,
                            IterationConfig, closed_form_deviation,
                            closed_form_exponents, even_beta_b, initial_state,
                            iterate, iteration_bounds, lifespan_upper_bound,
-                           log_functional_bound_u, log_lower_bounds,
-                           partial_product, product_limit, slice_factor,
-                           step, thresholds, weighted_sum)
+                           log_lower_bounds, product_limit, slice_factor,
+                           step, thresholds)
+
+from oracles import log_functional_bound_u, partial_product, weighted_sum
 
 # spans every dimension case of the verdict split, both small and large pq
 CONFIG_GRID = [(1, 2.0, 2.0), (1, 3.0, 2.0), (1, 1.5, 4.0),

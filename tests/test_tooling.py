@@ -6,6 +6,8 @@ import importlib.util
 import sys
 from pathlib import Path
 
+from nakao.cli import dispatch
+
 ROOT = Path(__file__).resolve().parents[1]
 SPANS = ROOT / "perfbench" / "spans.py"
 
@@ -30,6 +32,26 @@ def test_every_traced_name_resolves(monkeypatch):
             if holder is None or not callable(vars(holder).get(name)):
                 missing.append(f"{mod_name}.{attr}")
     assert not missing
+
+
+def test_tracer_hooks_read_simulate_and_sweep(monkeypatch, tmp_path):
+    # the hooks read positional arguments of the traced calls (step's params,
+    # run's numerics) and run's result; a signature change must fail here
+    spans = _load(SPANS, monkeypatch)
+    tracer = spans.Tracer()
+    model = ["--n", "1", "--p", "2", "--q", "2", "--h", "0.1"]
+    with tracer.installed():
+        assert dispatch(["simulate", *model, "--t-max", "2",
+                         "--out", str(tmp_path / "sim")]) == 0
+    assert tracer.support_excess_h is not None
+    assert tracer.counts["pde.node_steps"] > 0
+    tracer.reset()
+    with tracer.installed():
+        assert dispatch(["sweep", *model, "--t-max", "20",
+                         "--epsilons", "1,0.8,0.6,0.5",
+                         "--out", str(tmp_path / "sweep")]) == 0
+    assert tracer.counts["pde.node_steps"] > 0
+    assert tracer.counts["lifespan.points"] == 4
 
 
 def test_lifespan_experiment_script_runs(monkeypatch, capsys):
