@@ -8,6 +8,7 @@ epsilon axis), and each blow-up time equals that of its own `pde.run`.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,10 +65,14 @@ def sweep(params: ProblemParams, epsilons, spec: InitialDataSpec,
     """Run the ladder, fit log T against log(1/eps), compare with 1/F.
 
     Ladder points that reach t_max without crossing the threshold are
-    excluded from the fit and reported in `inconclusive`.  Requires a
-    blow-up verdict and at least four distinct ladder values (ValueError
-    before any run) and at least four conclusive points (InconclusiveSweep).
+    excluded from the fit and reported in `inconclusive`; no point crosses at
+    t = 0, since make_initial_data refuses data past the threshold.  Requires
+    a finite tol >= 0, a blow-up verdict and at least four distinct ladder
+    values (ValueError before any run) and at least four conclusive points
+    (InconclusiveSweep).
     """
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"tol must be finite and nonnegative, got {tol}")
     report = critical_values(params)
     if report.verdict is not Verdict.BLOW_UP:
         raise ValueError(f"sweep needs a blow-up point, verdict is "
@@ -82,8 +87,8 @@ def sweep(params: ProblemParams, epsilons, spec: InitialDataSpec,
     if report.F <= 0.0:
         raise ValueError("nonpositive lifespan exponent")
     results = list(zip(eps, blowup_times(params, eps, spec, numerics)))
-    concl = [(e, t) for e, t in results if t is not None and t > 0.0]
-    inconcl = tuple(e for e, t in results if t is None or t <= 0.0)
+    concl = [(e, t) for e, t in results if t is not None]
+    inconcl = tuple(e for e, t in results if t is None)
     if len(concl) < 4:
         raise InconclusiveSweep(f"only {len(concl)} conclusive ladder points; "
                                 f"inconclusive: {sorted(inconcl)}")

@@ -101,7 +101,11 @@ class RadialField:
 
     The levels have shape (nodes,) or, for a batch of epsilons stepped
     together, (nodes, k) with one column per epsilon; the node axis leads, so
-    row slices still index nodes.
+    row slices still index nodes.  The levels and every work buffer are
+    C-contiguous: a ufunc over operands of mixed order cannot merge their
+    axes and loops over the few columns one short inner loop at a time (a
+    boolean mask on axis 1, a[:, keep], returns Fortran order; _march
+    retires columns with a.compress(keep, axis=1), which returns C order).
 
     span = (lo, hi), when set, says that nodes lo..hi-1 hold every nonzero of
     u, u_prev, v and v_prev (in any column).  step, functionals and
@@ -259,18 +263,31 @@ def make_initial_data(params: ProblemParams, spec: InitialDataSpec,
     fld = make_field(params.n, h, dt, r_max)
     eps = params.epsilon
     base = profile(spec.shape, fld.x, params.R)
-    u0 = eps * spec.amp_u0 * base
-    u1 = eps * spec.amp_u1 * base
-    v0 = eps * spec.amp_v0 * base
-    v1 = eps * spec.amp_v1 * base
-    fld.u = u0.copy()
-    fld.v = v0.copy()
-    fld.u_prev = (u0 - dt * u1
-                  + 0.5 * dt * dt * (laplacian(fld, u0) - u1 + _pow_abs(v0, params.p)))
-    fld.v_prev = (v0 - dt * v1
-                  + 0.5 * dt * dt * (laplacian(fld, v0) + _pow_abs(u0, params.q)))
-    fld.u_prev[-1] = fld.v_prev[-1] = 0.0
-    return fld, InitialMoments(du0=float(fld.w @ u1), dv0=float(fld.w @ v1))
+    # an amplitude product or |v0|^p can overflow, and inf * 0 is nan: both
+    # are refused below, by the blow-up test or the finiteness check
+    with np.errstate(over="ignore", invalid="ignore"):
+        u0 = eps * spec.amp_u0 * base
+        u1 = eps * spec.amp_u1 * base
+        v0 = eps * spec.amp_v0 * base
+        v1 = eps * spec.amp_v1 * base
+        if _crossed(_max(u0), _max(v0), numerics.threshold):  # u0, v0 >= 0
+            raise ValueError("the initial data is past the blow-up threshold "
+                             f"{numerics.threshold}: max|u0| + max|v0| "
+                             "crosses it at t = 0")
+        fld.u = u0.copy()
+        fld.v = v0.copy()
+        fld.u_prev = (u0 - dt * u1 + 0.5 * dt * dt
+                      * (laplacian(fld, u0) - u1 + _pow_abs(v0, params.p)))
+        fld.v_prev = (v0 - dt * v1 + 0.5 * dt * dt
+                      * (laplacian(fld, v0) + _pow_abs(u0, params.q)))
+        fld.u_prev[-1] = fld.v_prev[-1] = 0.0
+        moments = InitialMoments(du0=float(fld.w @ u1),
+                                 dv0=float(fld.w @ v1))
+    if not (np.isfinite(fld.u_prev).all() and np.isfinite(fld.v_prev).all()
+            and math.isfinite(moments.du0) and math.isfinite(moments.dv0)):
+        raise ValueError("the initial data overflows: the back level "
+                         "u(-dt), v(-dt) or a velocity integral is not finite")
+    return fld, moments
 
 
 def step(field: RadialField, params: ProblemParams, src_u: np.ndarray,
@@ -554,8 +571,13 @@ def _march(fld: RadialField, params: ProblemParams, numerics: Numerics,
     the columns that crossed are retired.  The per-column maxima are formed
     only when the maxima over all columns cross: rounding is monotone, so no
     column can cross before that.  Then the sources are formed and, if given,
-    observe(fld, (|u|, |v|, max|u|, max|v|)) is called (1-D levels only), at
-    every time level up to the last: t_max or the crossing.
+    observe(fld, (|u|, |v|, max|u|, max|v|)) is called at every time level
+    up to the last: t_max or the crossing (on a batch, the magnitudes of a
+    level still hold the columns retired at it).
+
+    Retiring columns copies the levels once with compress, which keeps them
+    C-contiguous like the rebuilt work buffers (see RadialField); a column
+    mask on axis 1 would return them in Fortran order.
     """
     # original index of each live column
     cols = list(range(fld.u.shape[1] if fld.u.ndim == 2 else 1))
@@ -583,7 +605,8 @@ def _march(fld: RadialField, params: ProblemParams, numerics: Numerics,
             if cols and any(done):
                 keep = np.logical_not(done)
                 for name in ("u", "u_prev", "v", "v_prev"):
-                    setattr(fld, name, getattr(fld, name)[:, keep])
+                    setattr(fld, name,
+                            getattr(fld, name).compress(keep, axis=1))
                 fld.work = wk = _Work(fld.n, fld.x, fld.u.shape)
         _pow_abs(fld.v[lo:hi], params.p, out=wk.src_u[lo:hi])
         _pow_abs(fld.u[lo:hi], params.q, out=wk.src_v[lo:hi])

@@ -80,6 +80,31 @@ def test_non_finite_params_exit_2_naming_them(tmp_path, capsys, argv, name):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--epsilon", "6e7"],
+    ["simulate", "--epsilon", "1e200"],
+    ["sweep", "--epsilons", "6e7,0.3,0.2,0.1"],
+    ["sweep", "--epsilons", "0.4,0.3,0.2,1e200"],
+])
+def test_data_past_threshold_exit_2_without_output(tmp_path, capsys, argv):
+    # such data used to be reported as blow-up at t = 0 (exit 0), or to
+    # overflow in the back level (a RuntimeWarning)
+    assert dispatch([*argv, "--n", "1", "--p", "2", "--q", "2",
+                     "--h", "0.1", "--t-max", "1",
+                     "--out", str(tmp_path / "o")]) == 2
+    assert "past the blow-up threshold" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("tol", ["-1", "-0.1", "inf"])
+def test_sweep_bad_tol_exit_2_without_output(tmp_path, capsys, tol):
+    # --tol -1 used to exit 0 with the bound 0 * (1/F), consistent: false
+    assert dispatch(["sweep", "--n", "1", "--p", "2", "--q", "2",
+                     "--tol", tol, "--out", str(tmp_path / "o")]) == 2
+    assert "tol must be finite and nonnegative" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_invalid_params_exit_2(tmp_path):
     assert dispatch(["report", "--n", "1", "--p", "0.5", "--q", "2",
                      "--out", str(tmp_path / "r")]) == 2

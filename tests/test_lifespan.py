@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from nakao import lifespan
 from nakao.lifespan import InconclusiveSweep, fit_powerlaw, sweep
 from nakao.params import ProblemParams
 from nakao.pde import InitialDataSpec, Numerics
@@ -59,6 +60,18 @@ def test_sweep_rejects_bad_ladders():
               InitialDataSpec(), FAST)
     with pytest.raises(ValueError):
         sweep(ProblemParams(3, 3.0, 3.0), LADDER, InitialDataSpec(), FAST)
+
+
+@pytest.mark.parametrize("tol", [-1.0, -1e-12, float("inf"), float("nan")])
+def test_sweep_refuses_bad_tol_before_running(tol, monkeypatch):
+    # tol < 0 made the bound (1 + tol)/F smaller than 1/F, or 0 at tol = -1
+    def no_run(*args, **kwargs):
+        raise AssertionError("the simulator ran")
+
+    monkeypatch.setattr(lifespan, "blowup_times", no_run)
+    with pytest.raises(ValueError, match="tol must be finite"):
+        sweep(ProblemParams(1, 2.0, 2.0), LADDER, InitialDataSpec(), FAST,
+              tol=tol)
 
 
 def test_sweep_inconclusive_when_tmax_too_short():

@@ -6,9 +6,10 @@ import pytest
 
 from nakao.params import ProblemParams
 from nakao.pde import (BlowupReason, InitialDataSpec, Numerics, RadialField,
-                       _nonzero_span, _pow_abs, balance_residuals,
-                       blowup_times, functionals, laplacian, make_field,
-                       make_initial_data, profile, run, step, support_radius)
+                       _march, _nonzero_span, _pow_abs, _stacked_initial_data,
+                       balance_residuals, blowup_times, functionals, laplacian,
+                       make_field, make_initial_data, profile, run, step,
+                       support_radius)
 from nakao.testfn import PhiEvaluator
 
 P122 = ProblemParams(1, 2.0, 2.0, R=1.0, epsilon=0.2)
@@ -569,6 +570,65 @@ def test_blowup_times_bit_identical_to_run(case):
     assert all(t is not None for t in batched[:-1])
     if case == "n1":
         assert batched[1] == batched[2]
+
+
+@pytest.mark.parametrize("case", sorted(BATCH_CASES))
+def test_batched_march_keeps_one_c_contiguous_layout(case):
+    # a ufunc over C- and Fortran-ordered operands cannot merge their axes;
+    # retiring columns with a[:, mask] gave Fortran-ordered levels
+    params, ladder, num = BATCH_CASES[case]
+    fld = _stacked_initial_data(params, ladder, SPEC, num)
+    widths = []
+
+    def observe(fld, mags):
+        wk = fld.work
+        arrays = [fld.u, fld.u_prev, fld.v, fld.v_prev,
+                  wk.lap, wk.acc, wk.src_u, wk.src_v]
+        if wk.coef is not None:
+            arrays.append(wk.coef)
+        assert all(a.shape == fld.u.shape for a in arrays)
+        assert all(a.flags.c_contiguous for a in arrays)
+        widths.append(fld.u.shape[1])
+
+    times = _march(fld, params, num, observe)
+    assert times == [run(replace(params, epsilon=e), SPEC, num).t_blowup
+                     for e in ladder]
+    # columns retired mid-march while more than one stayed live
+    assert widths[0] == len(ladder)
+    assert any(1 < w < len(ladder) for w in widths)
+
+
+@pytest.mark.parametrize("eps", [6e7, 1e200])
+def test_initial_data_past_threshold_refused(eps):
+    # the bump peaks at 1, so eps * (1 + 1) > 1e8 crosses at t = 0: a
+    # crossing the dynamics never made (1e200 also overflows |v0|^p)
+    params = replace(P122, epsilon=eps)
+    num = Numerics(h=0.1, t_max=1.0)
+    with pytest.raises(ValueError, match="past the blow-up threshold"):
+        make_initial_data(params, SPEC, num)
+    with pytest.raises(ValueError, match="past the blow-up threshold"):
+        run(params, SPEC, num)
+    with pytest.raises(ValueError, match="past the blow-up threshold"):
+        blowup_times(P122, [0.5, eps, 0.3], SPEC, num)
+    # just below the threshold is stepped as usual
+    below = replace(P122, epsilon=4.9e7)
+    assert run(below, SPEC, num).times[0] == 0.0
+
+
+def test_initial_data_non_finite_back_level_refused():
+    # u0, v0 are below the threshold, but eps * amp_u1 overflows to inf
+    spec = InitialDataSpec(amp_u0=1e-300, amp_v0=0.0, amp_u1=1e300)
+    params = replace(P122, epsilon=1e10)
+    num = Numerics(h=0.1, t_max=1.0)
+    with pytest.raises(ValueError, match="overflows"):
+        make_initial_data(params, spec, num)
+    # every level is finite, but the integral of eps * u1 overflows
+    with pytest.raises(ValueError, match="overflows"):
+        make_initial_data(params, replace(spec, amp_u1=1.7e298), num)
+    # |v0|^p overflows while max|u0| + max|v0| stays below a huge threshold
+    with pytest.raises(ValueError, match="overflows"):
+        make_initial_data(replace(P122, epsilon=1e200), SPEC,
+                          Numerics(h=0.1, t_max=1.0, threshold=1e300))
 
 
 def test_blowup_times_zero_data():

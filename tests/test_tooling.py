@@ -3,6 +3,9 @@ by name, and the scripts call the package API; a deleted or renamed function
 would otherwise surface only when the benchmark or a script runs."""
 import importlib
 import importlib.util
+import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -52,6 +55,19 @@ def test_tracer_hooks_read_simulate_and_sweep(monkeypatch, tmp_path):
                          "--out", str(tmp_path / "sweep")]) == 0
     assert tracer.counts["pde.node_steps"] > 0
     assert tracer.counts["lifespan.points"] == 4
+
+
+def test_benchmark_ladder_smoke_is_correct():
+    # the benchmark's batched sweep, columns retiring mid-march, traced
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", "ladder",
+         "--smoke", "--trace", "1", "--seconds", "1"],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["correct"] is True
+    assert result["failed"] == 0 and result["attempted"] > 0
 
 
 def test_lifespan_experiment_script_runs(monkeypatch, capsys):
