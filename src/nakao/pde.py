@@ -4,13 +4,18 @@ functional tracking, discrete balance residuals, support checks and max-norm
 blow-up detection.
 
 Every dimension is solved on the radial half line 0 <= r <= r_max, n = 1
-included (even data on the line): an even-symmetry ghost at the origin gives
-the regularized Laplacian n * u_rr(0), and the outer boundary is homogeneous
-Dirichlet, which the light cone never reaches.
+included (even data on the line), with one conservative three-point operator
+(see _stencil): the finite-volume form of r^{1-n} (r^{n-1} u')' on exact
+cell volumes, which are also the quadrature weights.  Its origin row is
+2n (u_1 - u_0)/h^2, and the outer boundary is homogeneous Dirichlet, which
+the light cone never reaches.  Leapfrog on it is stable for
+cfl < cfl_max(n), about sqrt(2/n) for n >= 6; make_initial_data refuses
+larger cfl.
 
 One leapfrog loop, `_march`, steps and measures only the exact nonzero span
 of the solution (see RadialField.span), in buffers allocated once per field;
-every value equals that of the whole-grid computation bit for bit.  The level
+every value equals that of the whole-grid computation bit for bit, the
+quadratures summing the span.  The level
 arrays may carry a trailing epsilon axis, shape (nodes, k): `blowup_times`
 marches a whole ladder of amplitudes that way, one column per epsilon, and
 `run` marches one column with an observer that records the diagnostics, so
@@ -20,6 +25,7 @@ threshold, or a non-finite maximum.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -39,7 +45,8 @@ class Numerics:
     the last interior node at t = 33, and is 2.3e-8 of max|u| there at
     t = 40).  threshold is the max-norm blow-up level (see run).
     make_initial_data refuses h, t_max or threshold that is not finite and
-    positive, and an r_max that is not finite."""
+    positive, an r_max that is not finite and a cfl outside
+    (0, cfl_max(n))."""
 
     h: float = 0.02
     cfl: float = 0.45
@@ -118,7 +125,7 @@ class RadialField:
     h: float
     dt: float
     x: np.ndarray        # node radii 0, h, ..., m h
-    w: np.ndarray        # quadrature weights: integral f dx = w . f
+    w: np.ndarray        # |S^{n-1}| x cell volume: integral f dx = w . f
     u: np.ndarray
     u_prev: np.ndarray
     v: np.ndarray
@@ -128,7 +135,7 @@ class RadialField:
     work: _Work = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        self.work = _Work(self.n, self.x, self.u.shape)
+        self.work = _Work(self.n, self.h, self.dt, self.x, self.u.shape)
 
     @property
     def t(self) -> float:
@@ -142,85 +149,164 @@ class RadialField:
 
 
 class _Work:
-    """Scratch arrays of one field, in the shape of its levels, so that
-    stepping allocates nothing.
+    """The three-point coefficients of one field and scratch arrays in the
+    shape of its levels, so that stepping allocates nothing.
 
-    src_u, src_v (the sources |v|^p, |u|^q) and v_phi are zero outside the
-    span: step zeroes the nodes it trims, so whole-grid dots over them equal
-    those of the whole-grid computation.  lap and acc are step's scratch,
-    free between steps: _march forms |u| and |v| in them.  coef = (n-1)/x is
-    the first-order radial coefficient on the interior nodes, repeated in
-    every column of a batch (a broadcast (nodes, 1) operand makes numpy loop
-    over the few columns, ~5x slower); None at n = 1, where the term
-    vanishes.  v_phi and mask_* serve functionals and support_radius, which
-    take 1-D levels only, and are None for a batch.
+    stencil = (lower, diag, upper) is the radial Laplacian (see _stencil)
+    that laplacian applies.  step applies it folded into the leapfrog
+    update: coef_v = dt^2 stencil + (0, 2, 0), then the source factor dt^2;
+    coef_u is the same divided by the damping divisor 1 + dt/2, then the
+    factor of u_prev.  At n = 1 the coefficients are floats, the interior
+    values, and the origin row reads the even ghost f(-h) = f(h); a batch
+    then allocates no coefficient arrays.  For n >= 2 they are per-node
+    arrays, and step's are repeated in every column of a batch (a broadcast
+    (nodes, 1) operand makes numpy loop over the few columns, ~5x slower).
+
+    src_u, src_v (the sources |v|^p, |u|^q) are zero outside the span, where
+    step reads them one node beyond it: step zeroes the nodes it trims.  lap
+    and acc are step's scratch, free between steps: _march forms |u| and |v|
+    in them.  mask_u and mask_v serve support_radius, which takes 1-D levels
+    only, and are None for a batch.
     """
 
-    def __init__(self, n: int, x: np.ndarray, shape: tuple[int, ...]) -> None:
+    def __init__(self, n: int, h: float, dt: float, x: np.ndarray,
+                 shape: tuple[int, ...]) -> None:
         self.lap, self.acc = np.zeros(shape), np.zeros(shape)
         self.src_u, self.src_v = np.zeros(shape), np.zeros(shape)
-        self.v_phi = self.mask_u = self.mask_v = None
+        self.mask_u = self.mask_v = None
         if len(shape) == 1:
-            self.v_phi = np.zeros(shape)
             self.mask_u = np.zeros(shape, dtype=bool)
             self.mask_v = np.zeros(shape, dtype=bool)
-        self.coef = None
-        if n >= 2:
-            coef = np.zeros_like(x)
-            coef[1:-1] = (n - 1) / x[1:-1]
-            self.coef = (coef if len(shape) == 1
-                         else np.broadcast_to(coef[:, None], shape).copy())
+        lower, diag, upper = _stencil(n, x, h)
+        if n == 1:
+            lower, diag, upper = float(lower[1]), float(diag[1]), float(upper[1])
+        self.stencil = lower, diag, upper
+        dt2, damp = dt * dt, 1.0 / (1.0 + 0.5 * dt)
+        coef_v = [dt2 * lower, 2.0 + dt2 * diag, dt2 * upper]
+        coef_u = [damp * c for c in coef_v]
+        if n >= 2 and len(shape) == 2:
+            coef_v, coef_u = ([np.broadcast_to(c[:, None], shape).copy()
+                               for c in coefs] for coefs in (coef_v, coef_u))
+        self.coef_v = (*coef_v, dt2)
+        self.coef_u = (*coef_u, damp * dt2, damp * (0.5 * dt - 1.0))
 
 
 def make_field(n: int, h: float, dt: float, r_max: float) -> RadialField:
     """Zero-initialized field on the grid covering radius r_max."""
     x = np.arange(int(math.ceil(r_max / h)) + 1) * h
-    w = _weights(n, x, h)
+    w = sphere_area(n) * _cell_volumes(n, x, h)
     z = np.zeros_like(x)
     return RadialField(n=n, h=h, dt=dt, x=x, w=w,
                        u=z.copy(), u_prev=z.copy(), v=z.copy(), v_prev=z.copy())
 
 
-def _weights(n: int, x: np.ndarray, h: float) -> np.ndarray:
-    # trapezoid with the radial surface factor (sphere_area(1) = 2 folds the
-    # line onto the half line)
-    w = sphere_area(n) * x ** (n - 1) * h
-    w[0] *= 0.5
-    w[-1] *= 0.5
-    return w
+def _cell_volumes(n: int, x: np.ndarray, h: float) -> np.ndarray:
+    """Volume of each node's cell in units of |S^{n-1}|: the shell
+    ((r + h/2)^n - (r - h/2)^n)/n, and (h/2)^n/n for the origin's [0, h/2].
+    The shell is summed as its odd-power binomial expansion, which has no
+    cancellation at large r and is exactly h at n = 1 (w = 2h, h at the
+    origin)."""
+    a = 0.5 * h
+    vol = sum(2.0 * math.comb(n, j) / n * a ** j * x ** (n - j)
+              for j in range(1, n + 1, 2))
+    vol[0] = a ** n / n
+    return vol
+
+
+def _stencil(n: int, x: np.ndarray, h: float):
+    """(lower, diag, upper), per node, of the conservative radial Laplacian
+        (Lf)_i = (s_i (f_{i+1} - f_i) - s_{i-1} (f_i - f_{i-1})) / (h vol_i),
+    the finite-volume form of r^{1-n} (r^{n-1} f')': s_i = (r_i + h/2)^{n-1}
+    is the face between nodes i and i+1 and vol_i the cell volume, both in
+    units of |S^{n-1}|.  With these weights the sum of w * Lf telescopes to
+    the boundary flux.  The origin row has no inner face and is
+    2n (f_1 - f_0)/h^2; the Dirichlet row at r_max is zero."""
+    vol = _cell_volumes(n, x, h)
+    face = (x + 0.5 * h) ** (n - 1)
+    upper = face / (h * vol)
+    lower = np.zeros_like(upper)
+    lower[1:] = face[:-1] / (h * vol[1:])
+    diag = -(lower + upper)
+    for c in (lower, diag, upper):
+        c[-1] = 0.0
+    return lower, diag, upper
+
+
+# nodes of the grid on which cfl_max finds the spectral radius (h = 1); the
+# largest eigenvector is an origin mode that has decayed to rounding by then
+_CFL_NODES = 64
+
+
+@functools.lru_cache(maxsize=None)
+def cfl_max(n: int) -> float:
+    """Largest stable Courant number of the leapfrog step in dimension n.
+
+    Leapfrog on f_tt = Lf is energy-stable while dt^2 rho < 4, with rho the
+    spectral radius of -L; L is symmetric in the cell-volume inner product.
+    The interior rows give rho -> 4/h^2 (the line's bound, cfl < 1); for
+    n >= 2 the origin rows add a larger eigenvalue, whose eigenvector is
+    localized at the origin, so that cfl_max falls like sqrt(2/n) (0.909 at
+    n = 2, 0.5 at n = 8, 0.447 at n = 10).  rho scales as 1/h^2, so it is
+    found once per n at h = 1, by bisection on the Sturm count of the
+    symmetrized tridiagonal -L (no LAPACK call, whose buffers would cost
+    a sweep ~1 MB of peak memory)."""
+    lower, diag, upper = _stencil(n, np.arange(_CFL_NODES + 1.0), 1.0)
+    a = (-diag[:-1]).tolist()
+    off2 = (upper[:-2] * lower[1:-1]).tolist()   # squared couplings
+
+    def count_below(lam: float) -> int:
+        count, d = 0, 1.0
+        for ai, b2 in zip(a, [0.0] + off2):
+            d = (ai - lam - b2 / d) or 1e-300
+            count += d < 0.0
+        return count
+
+    if count_below(4.0) == len(a):   # the interior band: the line's bound
+        return 1.0
+    lo, hi = 4.0, 2.0 * max(a)   # rho <= hi: Gershgorin's bound on -L's rows
+    while hi - lo > 1e-15 * hi:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (lo, mid) if count_below(mid) == len(a) else (mid, hi)
+    return 2.0 / math.sqrt(hi)
+
+
+def _three_point(coefs, f: np.ndarray, o: np.ndarray, t: np.ndarray,
+                 a: int, b: int) -> np.ndarray:
+    """o = lower f_{i-1} + diag f_i + upper f_{i+1} on rows a..b-1, b below
+    the Dirichlet row, for o = out[a:b] with scratch t = tmp[a:b]; returns
+    o.  The origin row has no lower term, except the even ghost
+    f_{-1} = f_1 of float (n = 1) coefficients."""
+    lower, diag, upper = coefs[:3]
+    per_node = isinstance(diag, np.ndarray)
+    np.multiply(diag[a:b] if per_node else diag, f[a:b], out=o)
+    np.add(o, np.multiply(upper[a:b] if per_node else upper, f[a + 1:b + 1],
+                          out=t), out=o)
+    if a == 0:
+        if not per_node:
+            o[0] += lower * f[1]
+        a, o, t = 1, o[1:], t[1:]
+    np.add(o, np.multiply(lower[a:b] if per_node else lower, f[a - 1:b - 1],
+                          out=t), out=o)
+    return o
 
 
 def laplacian(field: RadialField, f: np.ndarray, out: np.ndarray | None = None,
               rows: tuple[int, int] | None = None) -> np.ndarray:
-    """Second-order radial Laplacian; zero on the Dirichlet row at r_max.
+    """The radial Laplacian of one level f (1-D) with the field's stencil;
+    zero on the Dirichlet row at r_max.
 
-    f has the shape of the field's levels; rows index nodes.  With rows =
-    (a, b) only rows a..b-1 of out are written (the stencil reads f on
-    a-1..b); by default a new whole-grid array is returned.
+    With rows = (a, b) only rows a..b-1 of out are written (the stencil reads
+    f on a-1..b); by default a new whole-grid array is returned.
     """
-    n, h = field.n, field.h
     size = f.shape[0]
     if out is None:
         out = np.zeros_like(f)
     a, b = (0, size) if rows is None else rows
-    lo, hi = max(a, 1), min(b, size - 1)
-    if lo < hi:
-        o = out[lo:hi]
-        np.multiply(2.0, f[lo:hi], out=o)
-        np.subtract(f[lo + 1:hi + 1], o, out=o)
-        np.add(o, f[lo - 1:hi - 1], out=o)
-        np.divide(o, h * h, out=o)
-        if field.work.coef is not None:
-            d = np.subtract(f[lo + 1:hi + 1], f[lo - 1:hi - 1],
-                            out=field.work.acc[lo:hi])
-            np.multiply(field.work.coef[lo:hi], d, out=d)
-            np.divide(d, 2.0 * h, out=d)
-            np.add(o, d, out=o)
     if b == size:
         out[-1] = 0.0
-    if a == 0:
-        # removable singularity at r = 0: even ghost gives n * f''(0)
-        out[0] = 2.0 * n * (f[1] - f[0]) / (h * h)
+        b -= 1
+    if a < b:
+        _three_point(field.work.stencil, f, out[a:b], np.empty(b - a), a, b)
     return out
 
 
@@ -249,8 +335,10 @@ def make_initial_data(params: ProblemParams, spec: InitialDataSpec,
     (and the undamped analogue for v), a second-order-consistent start."""
     h = numerics.h
     dt = numerics.cfl * h
-    if not 0.0 < numerics.cfl < 1.0:
-        raise ValueError(f"CFL violation: need 0 < cfl < 1, got {numerics.cfl}")
+    bound = cfl_max(params.n)
+    if not 0.0 < numerics.cfl < bound:
+        raise ValueError(f"CFL violation: need 0 < cfl < cfl_max({params.n})"
+                         f" = {bound:.6g}, got {numerics.cfl}")
     for name in ("h", "t_max", "threshold"):
         value = getattr(numerics, name)
         if not (math.isfinite(value) and value > 0.0):
@@ -294,8 +382,10 @@ def step(field: RadialField, params: ProblemParams, src_u: np.ndarray,
          src_v: np.ndarray) -> None:
     """Advance one leapfrog step in place.
 
-    The damping is the centered difference (u_next - u_prev)/(2 dt), absorbed
-    into the implicit 1 + dt/2 divisor; v gets the plain leapfrog update.
+    v_next = 2 v - v_prev + dt^2 (L v + src_v), and u_next is the same with
+    the damping as the centered difference (u_next - u_prev)/(2 dt), which
+    divides the update by 1 + dt/2.  Both are five-term sums over the
+    coefficients that field.work precomputes (see _Work).
     A batched field (levels of shape (nodes, k)) advances every column, each
     exactly as it would advance alone.
     src_u / src_v are the sources of u and v, in the shape of the levels:
@@ -317,28 +407,22 @@ def step(field: RadialField, params: ProblemParams, src_u: np.ndarray,
         a, b = 0, size
     else:
         a, b = max(field.span[0] - 1, 0), min(field.span[1] + 1, size)
-    dt = field.dt
-    src_u, src_v = src_u[a:b], src_v[a:b]
+    # rows a..b1-1: the Dirichlet row stays zero
+    b1 = min(b, size - 1)
     wk = field.work
-    acc = wk.acc[a:b]
+    o, t = wk.acc[a:b1], wk.lap[a:b1]
 
-    lap = laplacian(field, field.u, wk.lap, (a, b))[a:b]
-    np.add(lap, src_u, out=lap)
-    np.multiply(dt * dt, lap, out=lap)
-    u, u_prev = field.u[a:b], field.u_prev[a:b]
-    np.multiply(2.0, u, out=acc)
-    np.subtract(acc, u_prev, out=acc)
-    np.add(acc, lap, out=acc)
-    np.multiply(0.5 * dt, u_prev, out=lap)
-    np.add(acc, lap, out=acc)
-    np.divide(acc, 1.0 + 0.5 * dt, out=u_prev)
+    coef = wk.coef_u
+    _three_point(coef, field.u, o, t, a, b1)
+    np.add(o, np.multiply(coef[3], src_u[a:b1], out=t), out=o)
+    u_prev = field.u_prev[a:b1]
+    np.add(o, np.multiply(coef[4], u_prev, out=u_prev), out=u_prev)
 
-    lap = laplacian(field, field.v, wk.lap, (a, b))[a:b]
-    np.add(lap, src_v, out=lap)
-    np.multiply(dt * dt, lap, out=lap)
-    np.multiply(2.0, field.v[a:b], out=acc)
-    np.subtract(acc, field.v_prev[a:b], out=acc)
-    np.add(acc, lap, out=field.v_prev[a:b])
+    coef = wk.coef_v
+    _three_point(coef, field.v, o, t, a, b1)
+    np.add(o, np.multiply(coef[3], src_v[a:b1], out=t), out=o)
+    v_prev = field.v_prev[a:b1]
+    np.subtract(o, v_prev, out=v_prev)
 
     field.u_prev[-1] = field.v_prev[-1] = 0.0
     field.u_prev, field.u = field.u, field.u_prev
@@ -350,7 +434,7 @@ def step(field: RadialField, params: ProblemParams, src_u: np.ndarray,
 
 def _trim(field: RadialField, a: int, b: int) -> tuple[int, int]:
     """Shrink nodes a..b-1 to the exact nonzero span of the four levels and
-    zero the trimmed nodes of the buffers that must vanish outside it."""
+    zero the trimmed nodes of the sources, which must vanish outside it."""
     u, u_prev, v, v_prev = field.u, field.u_prev, field.v, field.v_prev
     lo, hi = a, b
     if u.ndim == 1:
@@ -371,11 +455,9 @@ def _trim(field: RadialField, a: int, b: int) -> tuple[int, int]:
                                or nz(v_prev[lo])):
             lo += 1
     if lo > a or hi < b:
-        wk = field.work
-        for buf in (wk.src_u, wk.src_v, wk.v_phi):
-            if buf is not None:
-                buf[a:lo] = 0.0
-                buf[hi:b] = 0.0
+        for buf in (field.work.src_u, field.work.src_v):
+            buf[a:lo] = 0.0
+            buf[hi:b] = 0.0
     return lo, hi
 
 
@@ -388,18 +470,25 @@ def _nonzero_span(field: RadialField) -> tuple[int, int]:
     return int(rows[0]), int(rows[-1]) + 1
 
 
-def functionals(field: RadialField, phi_values: np.ndarray):
-    """(U, V, V1) = (integral u, integral v, integral v * e^{-t} Phi), with
-    phi_values = Phi(field.x).
+def functionals(field: RadialField, w_phi: np.ndarray,
+                log_phi: np.ndarray | None = None):
+    """(U, V, V1) = (integral u, integral v, integral v * e^{-t} Phi), summed
+    over field.window.
 
-    v * Phi is formed on field.window only, so it stays finite where Phi
-    overflows but v has not arrived."""
-    U = float(field.w @ field.u)
-    V = float(field.w @ field.v)
+    w_phi = field.w * Phi(field.x) on the first nodes of the grid: all of
+    them, or those below the radius where V1 forms e^{-t} Phi in log space
+    instead, as exp(log_phi - t) with log_phi = log Phi(field.x) (read on
+    window nodes past w_phi only).  Phi overflows past r ~ 709, and
+    w * v * Phi sooner, while the log form stays finite (see run)."""
     lo, hi = field.window
-    np.multiply(field.v[lo:hi], phi_values[lo:hi],
-                out=field.work.v_phi[lo:hi])
-    V1 = math.exp(-field.t) * float(field.w @ field.work.v_phi)
+    w, v = field.w, field.v
+    U = float(w[lo:hi] @ field.u[lo:hi])
+    V = float(w[lo:hi] @ v[lo:hi])
+    j = min(max(lo, w_phi.size), hi)
+    V1 = math.exp(-field.t) * float(w_phi[lo:j] @ v[lo:j])
+    if j < hi:
+        tail = np.exp(log_phi[j:hi] - field.t)
+        V1 += float(w[j:hi] @ np.multiply(v[j:hi], tail, out=tail))
     return U, V, V1
 
 
@@ -512,6 +601,10 @@ class FunctionalTrace:
         return float(np.max(np.abs(self.res_v))) if self.res_v.size else 0.0
 
 
+# log 2^512: V1 sums v * Phi directly below it and v * e^{log Phi - t} past it
+_LOG_PHI_MAX = 512.0 * math.log(2.0)
+
+
 def run(params: ProblemParams, spec: InitialDataSpec,
         numerics: Numerics) -> FunctionalTrace:
     """March to t_max or blow-up, recording functionals every step.
@@ -523,20 +616,30 @@ def run(params: ProblemParams, spec: InitialDataSpec,
     (see _march).
     """
     fld, moments = make_initial_data(params, spec, numerics)
-    phi_vals = PhiEvaluator(params.n).phi(fld.x)
-    # per time level: t, U, V, V1, max|u|, max|v|, the two source integrals
-    # and the support radius's excess over R + t
+    log_phi = PhiEvaluator(params.n).log_phi(fld.x)
+    # Phi below 2^512, so that w * v * Phi cannot overflow either; e^{-t} Phi
+    # is formed in log space past it
+    j = int(np.searchsorted(log_phi, _LOG_PHI_MAX))
+    w = fld.w
+    w_phi = w[:j] * np.exp(log_phi[:j])
+    # per time level: t, U, V, V1, max|u|, max|v| and the two source
+    # integrals; and the largest excess of the support radius over R + t
     record: list[float] = []
+    excess = -math.inf
 
     def observe(fld: RadialField, mags) -> None:
-        wk = fld.work
-        record.extend((fld.t, *functionals(fld, phi_vals), mags[2], mags[3],
-                       float(fld.w @ wk.src_u), float(fld.w @ wk.src_v),
-                       support_radius(fld, mags=mags) - (params.R + fld.t)))
+        nonlocal excess
+        lo, hi = fld.span
+        t, wk = fld.t, fld.work
+        record.extend((t, *functionals(fld, w_phi, log_phi), mags[2], mags[3],
+                       float(w[lo:hi] @ wk.src_u[lo:hi]),
+                       float(w[lo:hi] @ wk.src_v[lo:hi])))
+        reach = params.R + t
+        excess = max(excess, support_radius(fld, mags=mags) - reach)
 
     (t_blowup,) = _march(fld, params, numerics, observe)
-    times, U, V, V1, max_u, max_v, src_u, src_v, excess = (
-        np.reshape(record, (-1, 9)).T.copy())
+    times, U, V, V1, max_u, max_v, src_u, src_v = (
+        np.reshape(record, (-1, 8)).T.copy())
     res_u, res_v = balance_residuals(times, U, V, src_u, src_v,
                                      moments.du0, moments.dv0)
     return FunctionalTrace(times=times, U=U, V=V, V1=V1, max_u=max_u,
@@ -544,7 +647,7 @@ def run(params: ProblemParams, spec: InitialDataSpec,
                            res_u=res_u, res_v=res_v, t_blowup=t_blowup,
                            reason=(BlowupReason.NONE if t_blowup is None
                                    else BlowupReason.MAX_NORM),
-                           support_max_excess=float(excess.max()),
+                           support_max_excess=excess,
                            du0=moments.du0, dv0=moments.dv0)
 
 
@@ -607,7 +710,8 @@ def _march(fld: RadialField, params: ProblemParams, numerics: Numerics,
                 for name in ("u", "u_prev", "v", "v_prev"):
                     setattr(fld, name,
                             getattr(fld, name).compress(keep, axis=1))
-                fld.work = wk = _Work(fld.n, fld.x, fld.u.shape)
+                fld.work = wk = _Work(fld.n, fld.h, fld.dt, fld.x,
+                                      fld.u.shape)
         _pow_abs(fld.v[lo:hi], params.p, out=wk.src_u[lo:hi])
         _pow_abs(fld.u[lo:hi], params.q, out=wk.src_v[lo:hi])
         if observe is not None:

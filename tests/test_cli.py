@@ -63,6 +63,31 @@ def test_infinite_numerics_exit_2_without_output(tmp_path, command, key):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+def test_cfl_past_the_dimension_bound_exits_2_without_output(
+        tmp_path, capsys, command):
+    # cfl_max(10) = 0.447: the default cfl 0.45 would step an unstable scheme
+    assert dispatch([command, "--n", "10", "--p", "1.1", "--q", "1.1",
+                     "--h", "0.05", "--cfl", "0.45", "--t-max", "5",
+                     "--out", str(tmp_path / "o")]) == 2
+    assert "CFL violation" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_simulate_v1_finite_past_phi_overflow(tmp_path):
+    # the span passes r ~ 709, where Phi overflows, from t ~ 320 on; V1 sums
+    # v * w * exp(log Phi - t) past Phi ~ 2^512, so every row stays finite
+    # (the product v * Phi gave nan rows from there)
+    out = tmp_path / "far"
+    assert dispatch(["simulate", "--n", "2", "--p", "2", "--q", "2",
+                     "--epsilon", "0.1", "--h", "0.1", "--t-max", "750",
+                     "--out", str(out)]) == 0
+    _, header, rows = read_csv(f"{out}.csv")
+    v1 = [float(row[header.index("V1")]) for row in rows]
+    assert len(v1) == 16668 and all(math.isfinite(x) for x in v1)
+    assert min(v1) > 0.0
+
+
 @pytest.mark.parametrize("argv,name", [
     (["simulate", "--n", "1", "--p", "2", "--q", "2", "--epsilon", "inf"],
      "epsilon"),

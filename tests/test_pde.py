@@ -4,12 +4,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from nakao.params import ProblemParams
+from nakao.params import ProblemParams, sphere_area
 from nakao.pde import (BlowupReason, InitialDataSpec, Numerics, RadialField,
                        _march, _nonzero_span, _pow_abs, _stacked_initial_data,
-                       balance_residuals, blowup_times, functionals, laplacian,
-                       make_field, make_initial_data, profile, run, step,
-                       support_radius)
+                       balance_residuals, blowup_times, cfl_max, functionals,
+                       laplacian, make_field, make_initial_data, profile, run,
+                       step, support_radius)
 from nakao.testfn import PhiEvaluator
 
 P122 = ProblemParams(1, 2.0, 2.0, R=1.0, epsilon=0.2)
@@ -128,6 +128,47 @@ def test_manufactured_solution_second_order():
     assert min(orders) >= 1.9
 
 
+def _radial_mms_error(n, h, t_end=1.0, cfl=0.45):
+    """Manufactured radial solution on 0 <= r <= 2: u = e^{-t} cos(kr),
+    v = e^{-t/2} cos(kr), forced with the radial Laplacian of cos(kr),
+    -k^2 cos(kr) - (n-1) k sin(kr)/r (-n k^2 at r = 0)."""
+    X, params = 2.0, ProblemParams(n, 2.0, 2.0)
+    kap = math.pi / (2.0 * X)
+    dt = cfl * h
+    fld = make_field(n, h, dt, X)
+    r = fld.x
+    lap_cos = np.full_like(r, -n * kap * kap)
+    lap_cos[1:] = (-kap * kap * np.cos(kap * r[1:])
+                   - (n - 1) * kap * np.sin(kap * r[1:]) / r[1:])
+
+    def u_exact(t):
+        return math.exp(-t) * np.cos(kap * r)
+
+    def v_exact(t):
+        return math.exp(-0.5 * t) * np.cos(kap * r)
+
+    fld.u, fld.v = u_exact(0.0), v_exact(0.0)
+    fld.u_prev, fld.v_prev = u_exact(-dt), v_exact(-dt)
+    for _ in range(int(round(t_end / dt))):
+        t = fld.t
+        uu, vv = u_exact(t), v_exact(t)
+        f_u = -math.exp(-t) * lap_cos - _pow_abs(vv, params.p)
+        f_v = math.exp(-0.5 * t) * (0.25 * np.cos(kap * r) - lap_cos) \
+            - _pow_abs(uu, params.q)
+        step(fld, params,
+             src_u=_pow_abs(fld.v, params.p) + f_u,
+             src_v=_pow_abs(fld.u, params.q) + f_v)
+    return float(np.max(np.abs(fld.u - u_exact(fld.t)))
+                 + np.max(np.abs(fld.v - v_exact(fld.t))))
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 8])
+def test_radial_manufactured_solution_second_order(n):
+    errs = [_radial_mms_error(n, h) for h in (0.04, 0.02, 0.01)]
+    orders = [math.log2(errs[i] / errs[i + 1]) for i in range(2)]
+    assert min(orders) >= 1.9, orders
+
+
 def test_linear_damped_energy_nonincreasing():
     h = 0.02
     params = ProblemParams(1, 2.0, 2.0)
@@ -241,20 +282,134 @@ def test_radial_laplacian_consistency():
         assert np.allclose(inner, 2.0 * n, atol=1e-9)
 
 
+def _cell_volume_stencil(n, m):
+    """Dense -h^2 L at h = 1 on nodes 0..m-1 (the Dirichlet node m dropped),
+    symmetrized in the cell-volume inner product, straight from the shell
+    volumes ((r+1/2)^n - (r-1/2)^n)/n and faces (r+1/2)^{n-1}."""
+    r = np.arange(m, dtype=float)
+    vol = ((r + 0.5) ** n - (r - 0.5) ** n) / n
+    vol[0] = 0.5 ** n / n
+    face = (r[:-1] + 0.5) ** (n - 1)
+    k = np.zeros((m, m))
+    k[np.arange(m - 1), np.arange(1, m)] = -face
+    k[np.arange(1, m), np.arange(m - 1)] = -face
+    k[np.arange(m), np.arange(m)] = np.append(face, (r[-1] + 0.5) ** (n - 1))
+    k[np.arange(1, m), np.arange(1, m)] += face
+    scale = 1.0 / np.sqrt(vol)
+    return scale[:, None] * k * scale[None, :]
+
+
+# leapfrog energy bound 2/sqrt(rho) with exact cell volumes, n = 1..12
+CFL_TABLE = (1.000, 0.909, 0.793, 0.700, 0.630, 0.577, 0.534, 0.500, 0.471,
+             0.447, 0.426, 0.408)
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_cfl_max_is_the_leapfrog_energy_bound(n):
+    rho = np.linalg.eigvalsh(_cell_volume_stencil(n, 400))[-1]
+    assert cfl_max(n) == pytest.approx(2.0 / math.sqrt(max(rho, 4.0)),
+                                       rel=1e-9)
+    assert cfl_max(n) == pytest.approx(CFL_TABLE[n - 1], abs=5e-4)
+
+
+def _free_march(n, cfl, steps):
+    """Free (unforced) march from random data at h = 0.05: the leapfrog
+    energy of v, E = |(v - v_prev)/dt|_w^2 - w . (v L v_prev), at every
+    step, and the growth of the weighted norms |u|_w + |v|_w."""
+    h = 0.05
+    fld = make_field(n, h, cfl * h, 6.0)
+    rng = np.random.default_rng(n)
+    for name in ("u", "u_prev", "v", "v_prev"):
+        level = rng.standard_normal(fld.x.size)
+        level[-1] = 0.0
+        setattr(fld, name, level)
+
+    def norm():
+        return math.sqrt(fld.w @ fld.u ** 2) + math.sqrt(fld.w @ fld.v ** 2)
+
+    start, energy, peak = norm(), [], 0.0
+    zero = np.zeros_like(fld.x)
+    for _ in range(steps):
+        step(fld, ProblemParams(n, 2.0, 2.0), zero, zero)
+        dv = (fld.v - fld.v_prev) / fld.dt
+        energy.append(float(fld.w @ (dv * dv)
+                            - fld.w @ (fld.v * laplacian(fld, fld.v_prev))))
+        peak = max(peak, norm())
+    return np.array(energy), peak / start
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_leapfrog_energy_bounded_below_cfl_max_refused_above(n):
+    # just below the bound the leapfrog energy is positive and conserved and
+    # the damped u decays; just above it the top (origin) mode grows
+    # geometrically, so the bound is sharp, and make_initial_data refuses it
+    bound = cfl_max(n)
+    energy, growth = _free_march(n, 0.98 * bound, 2000)
+    assert energy[0] > 0.0
+    assert np.max(np.abs(energy - energy[0])) <= 1e-9 * energy[0]
+    assert growth < 50.0
+    assert _free_march(n, 1.02 * bound, 400)[1] > 1e6
+    params = ProblemParams(n, 2.0, 2.0, epsilon=0.1)
+    with pytest.raises(ValueError, match="CFL violation"):
+        make_initial_data(params, SPEC, Numerics(h=0.05, cfl=1.001 * bound,
+                                                 t_max=1.0))
+    make_initial_data(params, SPEC, Numerics(h=0.05, cfl=0.999 * bound,
+                                             t_max=1.0))
+
+
+def test_stencil_matches_cell_volumes():
+    # w is |S^{n-1}| times the exact cell volume (2h and h at n = 1), and the
+    # stencil is the finite-volume operator; the sum of w * Lf telescopes
+    h = 0.05
+    for n in (1, 2, 3, 5, 8):
+        fld = make_field(n, h, 0.45 * h, 3.0)
+        r = fld.x
+        vol = ((r + h / 2) ** n - (r - h / 2) ** n) / n
+        vol[0] = (h / 2) ** n / n
+        np.testing.assert_allclose(fld.w, sphere_area(n) * vol, rtol=1e-12)
+        f = np.cos(r)
+        f[-1] = 0.0
+        lap = laplacian(fld, f)
+        face = (r[:-1] + h / 2) ** (n - 1)
+        flux = face * (f[1:] - f[:-1]) / h
+        ref = (flux - np.concatenate(([0.0], flux[:-1]))) / vol[:-1]
+        np.testing.assert_allclose(lap[:-1], ref, rtol=1e-9, atol=1e-9)
+        assert lap[0] == pytest.approx(2.0 * n * (f[1] - f[0]) / h ** 2)
+        # conservation: the only flux leaving is the one into the wall row
+        assert float(fld.w[:-1] @ lap[:-1]) == pytest.approx(
+            sphere_area(n) * flux[-1], rel=1e-9, abs=1e-9)
+    assert make_field(1, h, 0.45 * h, 1.0).w[:2].tolist() == [h, 2.0 * h]
+
+
+def test_n8_no_false_blowup():
+    # the centred (n-1)/r operator flagged max_norm at t = 6.48 here (and at
+    # 3.3 with h = 0.02): a scheme instability, not a blow-up
+    params = ProblemParams(8, 1.1, 1.1, epsilon=1e-3)
+    trace = run(params, SPEC, Numerics(h=0.05, t_max=10.0))
+    assert trace.t_blowup is None and trace.reason is BlowupReason.NONE
+    assert trace.max_u.max() + trace.max_v.max() < 1.0
+
+
 # --- span stepping against the whole-grid reference ------------------------
-# The reference below is the whole-grid arithmetic that run used before it
-# stepped only the nonzero span: every array allocated afresh, every pass over
-# the whole grid, and the even-ghost origin row for every n.  Span stepping
-# must reproduce it bit for bit.
+# The reference below is whole-grid arithmetic with the field's own
+# three-point coefficients: every array allocated afresh, every pass over the
+# whole grid, the origin row with its even ghost at n = 1 (float
+# coefficients) and no inner face for n >= 2, the Dirichlet rows zero.  Span
+# stepping must reproduce it bit for bit.  The coefficients themselves are
+# checked against the cell-volume formula in test_stencil_matches_cell_volumes.
+
+def _ref_three_point(coefs, f, ghost=True):
+    lower, diag, upper = (np.broadcast_to(c, f.shape) for c in coefs[:3])
+    out = np.zeros_like(f)
+    out[:-1] = diag[:-1] * f[:-1] + upper[:-1] * f[1:]
+    out[1:-1] += lower[1:-1] * f[:-2]
+    if ghost and not isinstance(coefs[0], np.ndarray):
+        out[0] += coefs[0] * f[1]
+    return out
+
 
 def _ref_laplacian(fld, f):
-    n, h, x = fld.n, fld.h, fld.x
-    out = np.zeros_like(f)
-    out[1:-1] = (f[2:] - 2.0 * f[1:-1] + f[:-2]) / (h * h)
-    if n >= 2:
-        out[1:-1] += (n - 1) / x[1:-1] * (f[2:] - f[:-2]) / (2.0 * h)
-    out[0] = 2.0 * n * (f[1] - f[0]) / (h * h)
-    return out
+    return _ref_three_point(fld.work.stencil, f)
 
 
 def _ref_pow_abs(f, e):
@@ -266,13 +421,13 @@ def _ref_pow_abs(f, e):
 
 
 def _ref_step(fld, params, src_u, src_v, walls=(-1,)):
-    """One whole-grid step; the rows in walls are held at zero."""
-    dt = fld.dt
-    u_next = (2.0 * fld.u - fld.u_prev
-              + dt * dt * (_ref_laplacian(fld, fld.u) + src_u)
-              + 0.5 * dt * fld.u_prev) / (1.0 + 0.5 * dt)
-    v_next = (2.0 * fld.v - fld.v_prev
-              + dt * dt * (_ref_laplacian(fld, fld.v) + src_v))
+    """One whole-grid step; the rows in walls are held at zero (the origin
+    row is a wall, without a ghost, on the retired full-interval layout)."""
+    cu, cv = fld.work.coef_u, fld.work.coef_v
+    ghost = 0 not in walls
+    u_next = ((_ref_three_point(cu, fld.u, ghost) + cu[3] * src_u)
+              + cu[4] * fld.u_prev)
+    v_next = (_ref_three_point(cv, fld.v, ghost) + cv[3] * src_v) - fld.v_prev
     u_next[list(walls)] = v_next[list(walls)] = 0.0
     fld.u_prev, fld.u = fld.u, u_next
     fld.v_prev, fld.v = fld.v, v_next
@@ -322,7 +477,7 @@ def _ref_run(params, spec, numerics, full_line=False):
         fld, walls = _full_line_initial_data(params, spec, numerics), (0, -1)
     else:
         fld, walls = make_initial_data(params, spec, numerics)[0], (-1,)
-    phi_vals = PhiEvaluator(params.n).phi(np.abs(fld.x))
+    w_phi = fld.w * PhiEvaluator(params.n).phi(np.abs(fld.x))
     n_steps = int(round(numerics.t_max / fld.dt))
     rec = {k: [] for k in ("times", "U", "V", "V1", "max_u", "max_v",
                            "src_u", "src_v")}
@@ -330,15 +485,20 @@ def _ref_run(params, spec, numerics, full_line=False):
     for k in range(n_steps + 1):
         pow_v = _ref_pow_abs(fld.v, params.p)
         pow_u = _ref_pow_abs(fld.u, params.q)
-        U, V = float(fld.w @ fld.u), float(fld.w @ fld.v)
+        # the quadratures sum the exact nonzero span of the four levels
+        nonzero = np.flatnonzero((fld.u != 0.0) | (fld.u_prev != 0.0)
+                                 | (fld.v != 0.0) | (fld.v_prev != 0.0))
+        lo, hi = (nonzero[0], nonzero[-1] + 1) if nonzero.size else (0, 0)
+        w = fld.w[lo:hi]
+        U, V = float(w @ fld.u[lo:hi]), float(w @ fld.v[lo:hi])
         m_u = float(np.max(np.abs(fld.u)))
         m_v = float(np.max(np.abs(fld.v)))
         for key, val in (("times", fld.t), ("U", U), ("V", V),
                          ("V1", math.exp(-fld.t)
-                          * float(fld.w @ (fld.v * phi_vals))),
+                          * float(w_phi[lo:hi] @ fld.v[lo:hi])),
                          ("max_u", m_u), ("max_v", m_v),
-                         ("src_u", float(fld.w @ pow_v)),
-                         ("src_v", float(fld.w @ pow_u))):
+                         ("src_u", float(w @ pow_v[lo:hi])),
+                         ("src_v", float(w @ pow_u[lo:hi]))):
             rec[key].append(val)
         max_excess = max(max_excess,
                          _ref_support_radius(fld, 1.0)
@@ -494,14 +654,14 @@ def test_span_stays_exact_and_sources_vanish_outside(n):
         step(fld, params, src_u=wk.src_u, src_v=wk.src_v)
         lo, hi = fld.span
         assert fld.span == _nonzero_span(fld)
-        for buf in (wk.src_u, wk.src_v, wk.v_phi):
+        for buf in (wk.src_u, wk.src_v):
             assert not buf[:lo].any() and not buf[hi:].any()
     assert 0 < hi - lo < fld.x.size   # the span grew but stayed inside
 
 
 def test_trim_zeroes_buffers_of_dropped_nodes():
-    # nodes that leave the span keep no stale v * Phi (or source) values, so
-    # the whole-grid dots over those buffers stay exact
+    # nodes that leave the span keep no stale source values, which step
+    # reads one node beyond the span; the quadratures sum the span only
     params = ProblemParams(1, 2.0, 2.0)
     fld = make_field(1, 0.1, 0.045, 3.0)
     c = fld.x.size // 2
@@ -509,18 +669,21 @@ def test_trim_zeroes_buffers_of_dropped_nodes():
     for name in levels:
         getattr(fld, name)[c - 5:c + 6] = 1.0
     fld.span = _nonzero_span(fld)
-    phi = np.ones_like(fld.x)
-    functionals(fld, phi)
+    lo, hi = fld.span
+    fld.work.src_u[lo:hi] = fld.work.src_v[lo:hi] = 1.0   # stale sources
     for name in levels:
         getattr(fld, name)[c - 5:c - 2] = 0.0
         getattr(fld, name)[c + 3:c + 6] = 0.0
-    step(fld, params, _pow_abs(fld.v, params.p), _pow_abs(fld.u, params.q))
+    zero = np.zeros_like(fld.x)
+    step(fld, params, zero, zero)
     lo, hi = fld.span
     assert (lo, hi) == _nonzero_span(fld) == (c - 3, c + 4)
-    for buf in (fld.work.src_u, fld.work.src_v, fld.work.v_phi):
+    for buf in (fld.work.src_u, fld.work.src_v):
         assert not buf[:lo].any() and not buf[hi:].any()
-    V1 = functionals(fld, phi)[2]
-    assert V1 == math.exp(-fld.t) * float(fld.w @ (fld.v * phi))
+    U, V, V1 = functionals(fld, fld.w)   # Phi = 1
+    assert V1 == math.exp(-fld.t) * float(fld.w[lo:hi] @ fld.v[lo:hi])
+    assert (U, V) == (float(fld.w[lo:hi] @ fld.u[lo:hi]),
+                      float(fld.w[lo:hi] @ fld.v[lo:hi]))
 
 
 def test_support_radius_one_sided_data():
@@ -584,8 +747,10 @@ def test_batched_march_keeps_one_c_contiguous_layout(case):
         wk = fld.work
         arrays = [fld.u, fld.u_prev, fld.v, fld.v_prev,
                   wk.lap, wk.acc, wk.src_u, wk.src_v]
-        if wk.coef is not None:
-            arrays.append(wk.coef)
+        # per-column coefficients for n >= 2, floats at n = 1
+        arrays += [c for c in wk.coef_u + wk.coef_v
+                   if isinstance(c, np.ndarray)]
+        assert len(arrays) == (8 if params.n == 1 else 14)
         assert all(a.shape == fld.u.shape for a in arrays)
         assert all(a.flags.c_contiguous for a in arrays)
         widths.append(fld.u.shape[1])
