@@ -12,6 +12,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -35,6 +36,12 @@ class ConfigError(ValueError):
 
 # per-subcommand schema: key -> (type, default); None default means required
 _COMMON = {"out": (str, None), "seed": (int, 0)}
+# one point of the experiment space, and the simulator's grid and data
+_POINT = {"n": (int, None), "p": (float, None), "q": (float, None),
+          "R": (float, 1.0)}
+_MARCH = {"h": (float, 0.02), "cfl": (float, 0.45), "threshold": (float, 1e8),
+          "shape": (str, "bump"), "amp_u0": (float, 1.0),
+          "amp_u1": (float, 1.0), "amp_v0": (float, 1.0), "amp_v1": (float, 1.0)}
 
 _SCHEMAS: dict[str, dict] = {
     "region": {
@@ -47,46 +54,19 @@ _SCHEMAS: dict[str, dict] = {
         "jobs": (int, 0),  # unread; kept so old configs and the echo hold
     },
     "curves": {**_COMMON, "n_min": (int, 2), "n_max": (int, 12)},
-    "sequences": {
-        **_COMMON,
-        "n": (int, None), "p": (float, None), "q": (float, None),
-        "R": (float, 1.0), "epsilon": (float, 1.0),
-        "jmax": (int, 41), "mode": (str, "eigenfunction"),
-    },
+    "sequences": {**_COMMON, **_POINT, "epsilon": (float, 1.0),
+                  "jmax": (int, 41), "mode": (str, "eigenfunction")},
     "testfn": {**_COMMON, "n": (int, None), "r_max": (float, 10.0),
                "num": (int, 201)},
-    "simulate": {
-        **_COMMON,
-        "n": (int, None), "p": (float, None), "q": (float, None),
-        "R": (float, 1.0), "epsilon": (float, 1.0),
-        "h": (float, 0.02), "cfl": (float, 0.45), "t_max": (float, 40.0),
-        "threshold": (float, 1e8), "shape": (str, "bump"),
-        "amp_u0": (float, 1.0), "amp_u1": (float, 1.0),
-        "amp_v0": (float, 1.0), "amp_v1": (float, 1.0),
-    },
+    "simulate": {**_COMMON, **_POINT, "epsilon": (float, 1.0), **_MARCH,
+                 "t_max": (float, 40.0)},
     "sweep": {
-        **_COMMON,
-        "n": (int, None), "p": (float, None), "q": (float, None),
-        "R": (float, 1.0),
+        **_COMMON, **_POINT,
         "epsilons": (list, [0.4, 0.3, 0.2, 0.15, 0.1]),
-        "h": (float, 0.02), "cfl": (float, 0.45), "t_max": (float, 60.0),
-        "threshold": (float, 1e8), "shape": (str, "bump"),
-        "amp_u0": (float, 1.0), "amp_u1": (float, 1.0),
-        "amp_v0": (float, 1.0), "amp_v1": (float, 1.0),
-        "tol": (float, 0.35),
+        **_MARCH, "t_max": (float, 60.0), "tol": (float, 0.35),
         "jobs": (int, 0),  # unread; kept so old configs and the echo hold
     },
-    "report": {
-        **_COMMON,
-        "n": (int, None), "p": (float, None), "q": (float, None),
-        "R": (float, 1.0), "epsilon": (float, 1.0),
-    },
-}
-
-_DEFAULT_OUT = {
-    "region": "region", "curves": "curves", "sequences": "sequences",
-    "testfn": "testfn_phi", "simulate": "simulate", "sweep": "sweep",
-    "report": "report",
+    "report": {**_COMMON, **_POINT, "epsilon": (float, 1.0)},
 }
 
 
@@ -118,7 +98,7 @@ def resolve_config(command: str, file_path: str | None,
     """defaults <- config file <- explicit flags, with strict key checking."""
     schema = _SCHEMAS[command]
     cfg = {k: d for k, (_, d) in schema.items()}
-    cfg["out"] = _DEFAULT_OUT[command]
+    cfg["out"] = "testfn_phi" if command == "testfn" else command
     if file_path:
         try:
             raw = json.loads(open(file_path, encoding="utf-8").read())
@@ -157,17 +137,14 @@ def cmd_region(cfg: dict) -> int:
     if res < 2:
         raise ConfigError(f"grid must be >= 2, got {res}")
     cap = admissible_cap(n)
-    p_max = cfg["p_max"] if not math.isnan(cfg["p_max"]) else \
-        (cap if math.isfinite(cap) else 6.0)
-    q_max = cfg["q_max"] if not math.isnan(cfg["q_max"]) else \
-        (cap if math.isfinite(cap) else 6.0)
-    p_min = cfg["p_min"] if not math.isnan(cfg["p_min"]) else \
-        1.0 + (p_max - 1.0) / res
-    q_min = cfg["q_min"] if not math.isnan(cfg["q_min"]) else \
-        1.0 + (q_max - 1.0) / res
-    cfg = {**cfg, "p_min": p_min, "p_max": p_max,
-           "q_min": q_min, "q_max": q_max}
-    scan = region_scan(n, (p_min, p_max), (q_min, q_max), res)
+    cfg = dict(cfg)
+    for x in "pq":   # a NaN box edge takes its default; the echo shows it
+        if math.isnan(cfg[f"{x}_max"]):
+            cfg[f"{x}_max"] = cap if math.isfinite(cap) else 6.0
+        if math.isnan(cfg[f"{x}_min"]):
+            cfg[f"{x}_min"] = 1.0 + (cfg[f"{x}_max"] - 1.0) / res
+    q_min, q_max = cfg["q_min"], cfg["q_max"]
+    scan = region_scan(n, (cfg["p_min"], cfg["p_max"]), (q_min, q_max), res)
     out = cfg["out"]
     # the grid repeats res p values, res q values, 4 verdicts and 3 binding
     # indices, so those columns go as indexed (values, codes) pairs
@@ -196,6 +173,9 @@ def cmd_region(cfg: dict) -> int:
 
 
 def cmd_curves(cfg: dict) -> int:
+    if cfg["n_min"] > cfg["n_max"]:
+        raise ConfigError(f"n_min must be <= n_max, got {cfg['n_min']} > "
+                          f"{cfg['n_max']}")
     rows = []
     for n in range(cfg["n_min"], cfg["n_max"] + 1):
         rows.append((n, strauss_exponent(n), fujita_exponent(n),
@@ -207,9 +187,14 @@ def cmd_curves(cfg: dict) -> int:
     return 0
 
 
+def _params(cfg: dict) -> ProblemParams:
+    # sweep has no epsilon key: its ladder scales the data, at epsilon = 1
+    return ProblemParams(n=cfg["n"], p=cfg["p"], q=cfg["q"], R=cfg["R"],
+                         epsilon=cfg.get("epsilon", 1.0))
+
+
 def cmd_sequences(cfg: dict) -> int:
-    params = ProblemParams(n=cfg["n"], p=cfg["p"], q=cfg["q"], R=cfg["R"],
-                           epsilon=cfg["epsilon"])
+    params = _params(cfg)
     config = IterationConfig(params=params, init_mode=InitMode(cfg["mode"]))
     states = iterate(config, cfg["jmax"])
     bounds = iteration_bounds(config)
@@ -229,6 +214,8 @@ def cmd_sequences(cfg: dict) -> int:
 
 
 def cmd_testfn(cfg: dict) -> int:
+    if cfg["num"] < 1:
+        raise ConfigError(f"num must be >= 1, got {cfg['num']}")
     ev = PhiEvaluator(cfg["n"])
     r = np.linspace(0.0, cfg["r_max"], cfg["num"])
     log_phi = ev.log_phi(r)
@@ -240,14 +227,10 @@ def cmd_testfn(cfg: dict) -> int:
 
 
 def _sim_pieces(cfg: dict):
-    params = ProblemParams(n=cfg["n"], p=cfg["p"], q=cfg["q"], R=cfg["R"],
-                           epsilon=cfg.get("epsilon", 1.0))
-    spec = InitialDataSpec(shape=cfg["shape"], amp_u0=cfg["amp_u0"],
-                           amp_u1=cfg["amp_u1"], amp_v0=cfg["amp_v0"],
-                           amp_v1=cfg["amp_v1"])
-    numerics = Numerics(h=cfg["h"], cfl=cfg["cfl"], t_max=cfg["t_max"],
-                        threshold=cfg["threshold"])
-    return params, spec, numerics
+    # the schema's keys are named like the fields of the data and grid specs
+    spec, numerics = (cls(**{f.name: cfg[f.name] for f in fields(cls)})
+                      for cls in (InitialDataSpec, Numerics))
+    return _params(cfg), spec, numerics
 
 
 def cmd_simulate(cfg: dict) -> int:
@@ -274,7 +257,7 @@ def cmd_simulate(cfg: dict) -> int:
 
 
 def cmd_sweep(cfg: dict) -> int:
-    params, spec, numerics = _sim_pieces({**cfg, "epsilon": 1.0})
+    params, spec, numerics = _sim_pieces(cfg)
     out = cfg["out"]
     try:
         fit = sweep(params, cfg["epsilons"], spec, numerics, tol=cfg["tol"])
@@ -300,8 +283,7 @@ def cmd_sweep(cfg: dict) -> int:
 
 
 def cmd_report(cfg: dict) -> int:
-    params = ProblemParams(n=cfg["n"], p=cfg["p"], q=cfg["q"], R=cfg["R"],
-                           epsilon=cfg["epsilon"])
+    params = _params(cfg)
     rep = critical_values(params)
     F_max = max(rep.F1, rep.F2, rep.F3, rep.F4)
     doc = {

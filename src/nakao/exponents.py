@@ -163,8 +163,8 @@ def critical_values(params: ProblemParams) -> ExponentReport:
 # ---------------------------------------------------------------------------
 # named exponents of the p = q diagonal
 
-def _bisect_root(f, lo: float, hi: float, df=None, width: float = 1e-14) -> float:
-    """Bracketed bisection to the given width, then one Newton polish."""
+def _bisect_root(f, lo: float, hi: float, df=None) -> float:
+    """Bracketed bisection to width 1e-14, then one Newton polish."""
     flo, fhi = f(lo), f(hi)
     if flo == 0.0:
         return lo
@@ -172,7 +172,7 @@ def _bisect_root(f, lo: float, hi: float, df=None, width: float = 1e-14) -> floa
         return hi
     if flo * fhi > 0.0:
         raise RuntimeError(f"no sign change on [{lo}, {hi}]")
-    while hi - lo > width:
+    while hi - lo > 1e-14:
         mid = 0.5 * (lo + hi)
         fm = f(mid)
         if fm == 0.0:
@@ -270,15 +270,16 @@ def scan_arrays(n: int, P: np.ndarray, Q: np.ndarray):
     return aN, F, codes.astype(np.int64), binding.astype(np.int64)
 
 
-def critical_curve_q(n: int, p: float, q_hi: float,
-                     q_lo: float = 1.0 + 1e-9) -> float | None:
-    """q with alpha_n(p, q) = (n-1)/2, or None if no crossing in (q_lo, q_hi].
+def critical_curve_q(n: int, p: float, q_hi: float) -> float | None:
+    """q with alpha_n(p, q) = (n-1)/2, or None if no crossing in
+    (1 + 1e-9, q_hi].
 
     alpha_n is strictly decreasing in q, so the crossing is unique; used to
     draw the blow-up boundary over a region scan.  n = 1 never crosses (the
     whole quadrant blows up).
     """
     half = (n - 1.0) / 2.0
+    q_lo = 1.0 + 1e-9
     f = lambda q: alpha_n(p, q) - half
     if f(q_hi) > 0.0 or f(q_lo) < 0.0:
         return None
@@ -291,6 +292,8 @@ def region_scan(n: int, p_range: tuple[float, float], q_range: tuple[float, floa
 
     Both range endpoints are included; the lower ends must exceed 1.
     """
+    if n < 1:
+        raise ValueError(f"dimension must be >= 1, got {n}")
     if resolution < 2:
         raise ValueError(f"resolution must be >= 2, got {resolution}")
     for lo, hi in (p_range, q_range):

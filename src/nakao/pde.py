@@ -38,25 +38,21 @@ from .testfn import PhiEvaluator
 
 @dataclass(frozen=True)
 class Numerics:
-    """Grid/time configuration.  dt = cfl * h; r_max defaults to
-    R + t_max + max(0.5, 4h): the light cone plus a few nodes of padding.
-    The scheme's sub-truncation dust runs ahead of the cone and can still
-    reach the Dirichlet wall in a long run (at n = 3, h = 0.01 it reaches
-    the last interior node at t = 33, and is 2.3e-8 of max|u| there at
-    t = 40).  threshold is the max-norm blow-up level (see run).
-    make_initial_data refuses h, t_max or threshold that is not finite and
-    positive, an r_max that is not finite and a cfl outside
-    (0, cfl_max(n))."""
+    """Grid/time configuration.  dt = cfl * h; the grid ends at
+    r_max = R + t_max + max(0.5, 4h): the light cone plus a few nodes of
+    padding.  The scheme's sub-truncation dust runs ahead of the cone and
+    reaches the last interior node in most runs (at n = 3, h = 0.01 at
+    t = 33, where it is 2.3e-8 of max|u| at t = 40).  threshold is the
+    max-norm blow-up level (see run).  make_initial_data refuses h, t_max or
+    threshold that is not finite and positive, an r_max that overflows and a
+    cfl outside (0, cfl_max(n))."""
 
     h: float = 0.02
     cfl: float = 0.45
     t_max: float = 40.0
     threshold: float = 1e8
-    r_max: float | None = None
 
     def resolved_r_max(self, R: float) -> float:
-        if self.r_max is not None:
-            return self.r_max
         return R + self.t_max + max(0.5, 4.0 * self.h)
 
 
@@ -83,8 +79,9 @@ class InitialDataSpec:
 
 
 def profile(shape: str, r: np.ndarray, R: float) -> np.ndarray:
-    """Unit-amplitude nonnegative profile supported in |r| <= R."""
-    rr = np.abs(np.asarray(r, dtype=float)) / R
+    """Unit-amplitude nonnegative profile of the radii r >= 0, supported in
+    r <= R."""
+    rr = np.asarray(r, dtype=float) / R
     out = np.zeros_like(rr)
     if shape == "bump":
         inside = rr < 1.0
@@ -290,23 +287,12 @@ def _three_point(coefs, f: np.ndarray, o: np.ndarray, t: np.ndarray,
     return o
 
 
-def laplacian(field: RadialField, f: np.ndarray, out: np.ndarray | None = None,
-              rows: tuple[int, int] | None = None) -> np.ndarray:
-    """The radial Laplacian of one level f (1-D) with the field's stencil;
-    zero on the Dirichlet row at r_max.
-
-    With rows = (a, b) only rows a..b-1 of out are written (the stencil reads
-    f on a-1..b); by default a new whole-grid array is returned.
-    """
-    size = f.shape[0]
-    if out is None:
-        out = np.zeros_like(f)
-    a, b = (0, size) if rows is None else rows
-    if b == size:
-        out[-1] = 0.0
-        b -= 1
-    if a < b:
-        _three_point(field.work.stencil, f, out[a:b], np.empty(b - a), a, b)
+def laplacian(field: RadialField, f: np.ndarray) -> np.ndarray:
+    """The radial Laplacian of one level f (1-D) with the field's stencil, as
+    a new array; zero on the Dirichlet row at r_max."""
+    out = np.zeros_like(f)
+    b = f.shape[0] - 1
+    _three_point(field.work.stencil, f, out[:b], np.empty(b), 0, b)
     return out
 
 
@@ -346,8 +332,6 @@ def make_initial_data(params: ProblemParams, spec: InitialDataSpec,
     r_max = numerics.resolved_r_max(params.R)
     if not math.isfinite(r_max):
         raise ValueError(f"r_max must be finite, got {r_max}")
-    if r_max < params.R + numerics.t_max + h:
-        raise ValueError("domain too small: the light cone reaches the boundary")
     fld = make_field(params.n, h, dt, r_max)
     eps = params.epsilon
     base = profile(spec.shape, fld.x, params.R)
@@ -470,8 +454,7 @@ def _nonzero_span(field: RadialField) -> tuple[int, int]:
     return int(rows[0]), int(rows[-1]) + 1
 
 
-def functionals(field: RadialField, w_phi: np.ndarray,
-                log_phi: np.ndarray | None = None):
+def functionals(field: RadialField, w_phi: np.ndarray, log_phi: np.ndarray):
     """(U, V, V1) = (integral u, integral v, integral v * e^{-t} Phi), summed
     over field.window.
 
@@ -492,28 +475,27 @@ def functionals(field: RadialField, w_phi: np.ndarray,
     return U, V, V1
 
 
-def support_radius(field: RadialField, tol: float = 1.0, mags=None) -> float:
+def support_radius(field: RadialField, mags=None) -> float:
     """Largest radius carrying amplitude above the accumulated-truncation floor:
     the radius of the last such node, since the grid radii increase.
 
     An explicit scheme at Courant number < 1 moves strictly-nonzero values
     faster than the light cone, but only at amplitudes of the scheme's own
     global error, O(h^2 (1+t)) relative to the field maximum.  Nodal support
-    is therefore measured above the floor tol * h^2 * (1+t) * max-amplitude.
+    is therefore measured above the floor h^2 * (1+t) * max-amplitude.
     With that floor the excess over R + t stays within 2h for n = 1, 2, 3 up
     to t = 5 (test_support_containment_within_two_h), but 2h is not a bound
     in general: 3.1h was measured at n = 3, h = 0.01, t = 40 (the benchmark's
     radial-n3 workload).  A transport or stencil bug would still blast far
-    through it.  tol must be nonnegative, since nodes outside field.window
-    count as zero amplitude.  mags = (|u|, |v|, max|u|, max|v|) on
-    field.window, when the caller has them already (_march does).
+    through it.  mags = (|u|, |v|, max|u|, max|v|) on field.window, when the
+    caller has them already (_march does).
     """
     lo, hi = field.window
     if mags is None:
         abs_u, abs_v = np.abs(field.u[lo:hi]), np.abs(field.v[lo:hi])
         mags = (abs_u, abs_v, _max(abs_u), _max(abs_v))
     abs_u, abs_v, m_u, m_v = mags
-    floor = tol * field.h * field.h * (1.0 + field.t)
+    floor = field.h * field.h * (1.0 + field.t)
     mask_u, mask_v = field.work.mask_u[lo:hi], field.work.mask_v[lo:hi]
     if m_u > 0.0:
         mask = np.greater(abs_u, floor * m_u, out=mask_u)

@@ -91,13 +91,11 @@ def slice_factor(k: int, pq: float) -> float:
     return 1.0 + pq ** ((1.0 - k) / 2.0)
 
 
-def product_limit(pq: float, tol: float = 1e-12) -> float:
+def product_limit(pq: float) -> float:
     """L = lim L_j, accumulated in log space until the geometric tail of
-    sum log ell_k (bounded via log(1+x) <= x) drops below tol."""
+    sum log ell_k (bounded via log(1+x) <= x) drops below 1e-12."""
     if pq <= 1.0:
         raise ValueError(f"pq must exceed 1, got {pq}")
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
     root = pq ** -0.5
     log_sum = 0.0
     k = 1
@@ -105,7 +103,7 @@ def product_limit(pq: float, tol: float = 1e-12) -> float:
         log_sum += math.log1p(pq ** ((1.0 - k) / 2.0))
         # remaining sum of (pq)^{(1-i)/2} for i > k
         tail = pq ** (-k / 2.0) / (1.0 - root)
-        if tail < tol:
+        if tail < 1e-12:
             return math.exp(log_sum)
         k += 1
 

@@ -23,18 +23,19 @@ def _mapper(lo: float, hi: float, size: float, offset: float, flip: bool):
     return to_px
 
 
-def _ticks(lo: float, hi: float, count: int = 5):
-    step = (hi - lo) / (count - 1)
-    return [lo + i * step for i in range(count)]
+def _ticks(lo: float, hi: float):
+    step = (hi - lo) / 4
+    return [lo + i * step for i in range(5)]
 
 
 def scatter_svg(path, xs, ys, colors, x_label: str, y_label: str,
-                title: str, legend: list[tuple[str, str]] | None = None,
-                point_size: float = 2.0, config: dict | None = None,
+                title: str, legend: list[tuple[str, str]], point_size: float,
+                config: dict,
                 curves: list[tuple[list, list, str]] | None = None) -> None:
-    """Colored point cloud with axes; colors are per-point CSS strings.
-    curves are (xs, ys, color) polylines drawn over the points.  The resolved
-    config, when given, is embedded as the <desc> element."""
+    """Colored point cloud with axes; colors are per-point CSS strings and
+    legend the (label, color) pairs.  curves are (xs, ys, color) polylines
+    drawn over the points.  The resolved config is embedded as the <desc>
+    element."""
     xs = list(map(float, xs))
     ys = list(map(float, ys))
     x_lo, x_hi = min(xs), max(xs)
@@ -44,12 +45,9 @@ def scatter_svg(path, xs, ys, colors, x_label: str, y_label: str,
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" '
         f'height="{HEIGHT}" viewBox="0 0 {WIDTH} {HEIGHT}">',
-    ]
-    if config is not None:
-        blob = json.dumps(config, sort_keys=True, separators=(",", ":"),
-                          default=str)
-        parts.append(f"<desc>config: {html.escape(blob)}</desc>")
-    parts += [
+        "<desc>config: " + html.escape(json.dumps(
+            config, sort_keys=True, separators=(",", ":"), default=str))
+        + "</desc>",
         f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
         f'<text x="{WIDTH / 2:.1f}" y="16" text-anchor="middle" '
         f'font-size="14">{title}</text>',
@@ -85,13 +83,12 @@ def scatter_svg(path, xs, ys, colors, x_label: str, y_label: str,
                  f'font-size="12" transform="rotate(-90 14 '
                  f'{MARGIN + 20 + PLOT_H / 2:.1f})" '
                  f'text-anchor="middle">{y_label}</text>')
-    if legend:
-        ly = MARGIN + 24
-        for label, color in legend:
-            parts.append(f'<rect x="{MARGIN + PLOT_W - 150}" y="{ly - 8}" '
-                         f'width="10" height="10" fill="{color}"/>')
-            parts.append(f'<text x="{MARGIN + PLOT_W - 136}" y="{ly + 1}" '
-                         f'font-size="11">{label}</text>')
-            ly += 16
+    ly = MARGIN + 24
+    for label, color in legend:
+        parts.append(f'<rect x="{MARGIN + PLOT_W - 150}" y="{ly - 8}" '
+                     f'width="10" height="10" fill="{color}"/>')
+        parts.append(f'<text x="{MARGIN + PLOT_W - 136}" y="{ly + 1}" '
+                     f'font-size="11">{label}</text>')
+        ly += 16
     parts.append("</svg>")
     Path(path).write_text("\n".join(parts) + "\n", encoding="utf-8")

@@ -170,15 +170,11 @@ def holder_ratio(evaluator: PhiEvaluator, t, p: float, R: float) -> np.ndarray:
     return vals / (R + t) ** expo
 
 
-def c2_constant(evaluator: PhiEvaluator, p: float, R: float,
-                t_max: float = 50.0, num: int = 101) -> float:
-    """Calibrated Hoelder constant: the max of holder_ratio over num points
-    of [0, t_max].  On the default grid (step 0.5, the panel width) with R a
-    multiple of 0.5, every R+t ends on a lattice edge and no partial panel
-    is evaluated.  Raises ValueError for a non-finite t_max or num < 1.
+def c2_constant(evaluator: PhiEvaluator, p: float, R: float) -> float:
+    """Calibrated Hoelder constant: the max of holder_ratio over the 101
+    points of [0, 50].  The grid's step is the panel width 0.5, so with R a
+    multiple of 0.5 every R+t ends on a lattice edge and no partial panel is
+    evaluated.
     """
-    if not math.isfinite(t_max) or num < 1:
-        raise ValueError(f"need finite t_max and num >= 1, "
-                         f"got t_max = {t_max}, num = {num}")
-    ts = np.linspace(0.0, t_max, num)
+    ts = np.linspace(0.0, 50.0, 101)
     return float(np.max(holder_ratio(evaluator, ts, p, R)))

@@ -163,6 +163,8 @@ def test_region_flag_overrides_config(tmp_path):
     ["--q-min", "2", "--q-max", "2"],         # degenerate range
     ["--grid", "1"],
     ["--grid", "0"],
+    ["--n", "0"],                             # no such dimension (every
+    ["--n", "-2"],                            # cell used to read blow_up)
 ])
 def test_region_rejected_box_exits_2_without_csv(tmp_path, box):
     out = tmp_path / "reg"
@@ -186,6 +188,18 @@ def test_nan_in_config_file_is_a_bad_value(tmp_path, capsys):
     assert dispatch(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
     assert "bad value for 'p': nan" in capsys.readouterr().err
     assert not Path(f"{out}.csv").exists()
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["curves", "--n-min", "5", "--n-max", "2"], "n_min must be <= n_max"),
+    (["testfn", "--n", "1", "--num", "0"], "num must be >= 1"),
+], ids=["curves", "testfn"])
+def test_empty_ranges_refused_without_output(tmp_path, capsys, argv,
+                                             message):
+    # an empty range wrote a header-only CSV and exited 0
+    assert dispatch([*argv, "--out", str(tmp_path / "o")]) == 2
+    assert message in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 def test_region_nan_box_edge_means_default(tmp_path):

@@ -45,15 +45,15 @@ def test_slice_factor_log_ratio_limit():
 
 def test_product_limit_frozen_value():
     # frozen from a 40-digit accumulation (two independent methods); the
-    # returned value is certified to tol in log scale
+    # returned value is certified to 1e-12 in log scale
     exact = 4.768462058062743
-    assert product_limit(4.0, 1e-12) == pytest.approx(exact, rel=5e-12)
+    assert product_limit(4.0) == pytest.approx(exact, rel=5e-12)
     prev = 0.0
     for j in range(1, 51):
         lj = partial_product(j, 4.0)
         assert prev < lj <= exact * (1 + 1e-14)
         prev = lj
-    big = product_limit(1e6, 1e-12)
+    big = product_limit(1e6)
     assert 2.0 < big < 2.01
 
 
