@@ -216,6 +216,8 @@ def cmd_sequences(cfg: dict) -> int:
 def cmd_testfn(cfg: dict) -> int:
     if cfg["num"] < 1:
         raise ConfigError(f"num must be >= 1, got {cfg['num']}")
+    if not math.isfinite(cfg["r_max"]):
+        raise ConfigError(f"r_max must be finite, got {cfg['r_max']!r}")
     ev = PhiEvaluator(cfg["n"])
     r = np.linspace(0.0, cfg["r_max"], cfg["num"])
     log_phi = ev.log_phi(r)
@@ -357,7 +359,9 @@ def dispatch(argv: list[str]) -> int:
     try:
         cfg = resolve_config(ns.command, ns.config, flags)
         return _COMMANDS[ns.command](cfg)
-    except (ConfigError, ValueError) as exc:
+    except (ConfigError, ValueError, MemoryError) as exc:
+        # MemoryError: numpy refuses an array too large for the host (a
+        # region grid of 1e8 x 1e8) before anything is written
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -299,9 +299,11 @@ def region_scan(n: int, p_range: tuple[float, float], q_range: tuple[float, floa
     for lo, hi in (p_range, q_range):
         if not (1.0 < lo < hi):
             raise ValueError(f"range must satisfy 1 < lo < hi, got ({lo}, {hi})")
-    ps = np.linspace(p_range[0], p_range[1], resolution)
-    qs = np.linspace(q_range[0], q_range[1], resolution)
-    P, Q = np.meshgrid(ps, qs, indexing="ij")
+    # the grid is allocated first, so that one too large for memory is
+    # refused (MemoryError) before anything else is built
+    P, Q = np.empty((2, resolution, resolution))
+    P[:] = np.linspace(p_range[0], p_range[1], resolution)[:, None]
+    Q[:] = np.linspace(q_range[0], q_range[1], resolution)
     P, Q = P.ravel(), Q.ravel()
     aN, F, codes, binding = scan_arrays(n, P, Q)
     return RegionScan(n=n, p=P, q=Q, alpha_n=aN, F=F,

@@ -79,10 +79,12 @@ class PhiEvaluator:
         return r + np.log(sphere_area(self.n - 1) * s)
 
     def log_phi(self, r):
-        """log Phi(r), elementwise, finite for any radius."""
+        """log Phi(r), elementwise, finite for any finite radius."""
         arr = np.atleast_1d(np.asarray(r, dtype=float))
         if np.any(arr < 0.0):
             raise ValueError("radius must be nonnegative")
+        if not np.all(np.isfinite(arr)):
+            raise ValueError("radius must be finite")
         if self.n == 1:
             out = arr + np.log1p(np.exp(-2.0 * arr))
         else:

@@ -202,6 +202,26 @@ def test_empty_ranges_refused_without_output(tmp_path, capsys, argv,
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("r_max", ["inf", "-inf"])
+def test_testfn_non_finite_r_max_exit_2_without_output(tmp_path, capsys,
+                                                       r_max):
+    # r_max = inf wrote rows nan,nan,nan and inf,nan,nan and exited 0
+    assert dispatch(["testfn", "--n", "2", f"--r-max={r_max}", "--num", "3",
+                     "--out", str(tmp_path / "o")]) == 2
+    assert f"r_max must be finite, got {r_max}" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_region_grid_too_large_for_memory_exit_2(tmp_path, capsys):
+    # numpy refuses the 1e8 x 1e8 grid (71.1 PiB) before allocating any of
+    # it; the refusal used to escape as a MemoryError traceback (exit 1)
+    assert dispatch(["region", "--n", "2", "--grid", "100000000",
+                     "--out", str(tmp_path / "reg")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not list(tmp_path.iterdir())
+
+
 def test_region_nan_box_edge_means_default(tmp_path):
     default, explicit = tmp_path / "default", tmp_path / "explicit"
     assert dispatch(["region", "--n", "2", "--grid", "5",

@@ -1,6 +1,7 @@
 """The columnar CSV writer against the row-at-a-time formatter it replaced."""
 import json
 import math
+import os
 from pathlib import Path
 
 import numpy as np
@@ -103,9 +104,36 @@ def _indexed_columns(length):
     }
 
 
-@pytest.mark.parametrize("length", LENGTHS)
-def test_write_csv_matches_row_formatter(tmp_path, monkeypatch, length):
-    monkeypatch.setattr(output, "_BLOCK_ROWS", BLOCK)
+def _on_cpus(cases):
+    """Each case on 1 CPU under its plain id (as one process writes), then
+    on 2 and 3 CPUs."""
+    params = []
+    for workers in (1, 2, 3):
+        for case in cases:
+            ident = "-".join(map(str, case))
+            if workers > 1:
+                ident += f"-cpus{workers}"
+            params.append(pytest.param(*case, workers, id=ident))
+    return params
+
+
+def _split(monkeypatch, block, workers):
+    """Blocks of `block` rows, formatted on `workers` CPUs."""
+    monkeypatch.setattr(output, "_BLOCK_ROWS", block)
+    monkeypatch.setattr(output, "_usable_cpus", lambda: workers)
+
+
+@pytest.mark.parametrize("length, workers",
+                         _on_cpus([(n,) for n in LENGTHS]))
+def test_write_csv_matches_row_formatter(tmp_path, monkeypatch, length,
+                                         workers):
+    _split(monkeypatch, BLOCK, workers)
+    # whole blocks, at most one part per worker
+    parts = output._parts(length)
+    assert len(parts) == max(1, min(workers, length // BLOCK))
+    assert parts[0][0] == 0 and parts[-1][1] == length
+    assert all(a[1] == b[0] and a[1] % BLOCK == 0
+               for a, b in zip(parts, parts[1:]))
     cols = _columns(length)
     header = list(cols)
     config = {"n": 2, "eps": 0.1, "tag": "x"}
@@ -129,10 +157,11 @@ def test_write_csv_from_rows_transposed(tmp_path):
         [",".join(header)]
 
 
-@pytest.mark.parametrize("block", [1, BLOCK])
-@pytest.mark.parametrize("length", LENGTHS)
-def test_indexed_columns_match_plain(tmp_path, monkeypatch, block, length):
-    monkeypatch.setattr(output, "_BLOCK_ROWS", block)
+@pytest.mark.parametrize("length, block, workers",
+                         _on_cpus([(n, b) for b in (1, BLOCK) for n in LENGTHS]))
+def test_indexed_columns_match_plain(tmp_path, monkeypatch, block, length,
+                                     workers):
+    _split(monkeypatch, block, workers)
     plain, indexed = _columns(length), _indexed_columns(length)
     header = list(plain)
     config = {"n": 2}
@@ -145,6 +174,30 @@ def test_indexed_columns_match_plain(tmp_path, monkeypatch, block, length):
               [indexed["f"]] + list(plain.values())[1:])
     assert (tmp_path / "one.csv").read_bytes() == \
         (tmp_path / "plain.csv").read_bytes()
+
+
+class _Unprintable:
+    def __str__(self):
+        raise ValueError("no text for this cell")
+
+
+@pytest.mark.parametrize("bad_row, error", [
+    (0, ValueError),                           # in the caller's own part
+    (3 * BLOCK + 1, ChildProcessError)])       # in the last worker's part
+def test_failed_cell_leaves_no_file_and_no_child(tmp_path, monkeypatch,
+                                                 bad_row, error):
+    _split(monkeypatch, BLOCK, 3)
+    length = 3 * BLOCK + 2
+    assert len(output._parts(length)) == 3
+    mixed = _cycle(MIXED, length)
+    mixed[bad_row] = _Unprintable()
+    path = tmp_path / "bad.csv"
+    with pytest.raises(error):
+        write_csv(path, {}, ["f", "mixed"],
+                  [np.zeros(length), mixed])
+    assert list(tmp_path.iterdir()) == []
+    with pytest.raises(ChildProcessError):   # every worker was reaped
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_numpy_bools_spelled_like_bools(tmp_path):

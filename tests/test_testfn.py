@@ -199,6 +199,15 @@ def test_holder_norms_refuse_non_finite_inputs(call):
         call(PhiEvaluator(2))
 
 
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("r", [math.inf, math.nan, [0.0, math.inf]],
+                         ids=["inf", "nan", "array-with-inf"])
+def test_log_phi_refuses_non_finite_radii(n, r):
+    # inf gave nan (n >= 2) or inf with numpy RuntimeWarnings
+    with pytest.raises(ValueError, match="finite"):
+        PhiEvaluator(n).log_phi(r)
+
+
 # c2_constant(PhiEvaluator(n), p, 1.0) as computed with one linspace panel
 # layout per t (equal panels of width <= 0.5 on [0, 1 + t]); at R = 1 every
 # 1 + t of c2_constant's grid is a lattice edge, so the layouts coincide
