@@ -101,7 +101,8 @@ def resolve_config(command: str, file_path: str | None,
     cfg["out"] = "testfn_phi" if command == "testfn" else command
     if file_path:
         try:
-            raw = json.loads(open(file_path, encoding="utf-8").read())
+            with open(file_path, encoding="utf-8") as fh:
+                raw = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config {file_path}: {exc}") from exc
         if not isinstance(raw, dict):
@@ -148,10 +149,11 @@ def cmd_region(cfg: dict) -> int:
     out = cfg["out"]
     # the grid repeats res p values, res q values, 4 verdicts and 3 binding
     # indices, so those columns go as indexed (values, codes) pairs
+    index = np.arange(res, dtype=np.min_scalar_type(res - 1))
     write_csv(f"{out}.csv", cfg,
               ["p", "q", "alphaN", "F", "verdict", "binding_component"],
-              [(scan.p[::res], np.repeat(np.arange(res), res)),
-               (scan.q[:res], np.tile(np.arange(res), res)),
+              [(scan.p[::res], np.repeat(index, res)),
+               (scan.q[:res], np.tile(index, res)),
                scan.alpha_n, scan.F,
                ([v.value for v in Verdict], scan.verdict_code),
                (np.arange(4), scan.binding)])

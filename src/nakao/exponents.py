@@ -236,6 +236,7 @@ def diagonal_blowup_bound(n: int) -> float:
 # region scans
 
 _VERDICTS = tuple(Verdict)   # verdict by code
+_SCAN_BLOCK = 65_536         # cells per scan_arrays call in region_scan
 
 
 @dataclass(frozen=True)
@@ -305,6 +306,13 @@ def region_scan(n: int, p_range: tuple[float, float], q_range: tuple[float, floa
     P[:] = np.linspace(p_range[0], p_range[1], resolution)[:, None]
     Q[:] = np.linspace(q_range[0], q_range[1], resolution)
     P, Q = P.ravel(), Q.ravel()
-    aN, F, codes, binding = scan_arrays(n, P, Q)
+    # scan_arrays makes ~15 temporaries the size of its input, so it runs on
+    # fixed blocks of cells; the values are elementwise and do not change
+    aN, F = np.empty((2, P.size))
+    codes, binding = np.empty((2, P.size), dtype=np.int64)
+    for lo in range(0, P.size, _SCAN_BLOCK):
+        cells = slice(lo, lo + _SCAN_BLOCK)
+        aN[cells], F[cells], codes[cells], binding[cells] = scan_arrays(
+            n, P[cells], Q[cells])
     return RegionScan(n=n, p=P, q=Q, alpha_n=aN, F=F,
                       verdict_code=codes, binding=binding)

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .exponents import Verdict, critical_values
+from .exponents import ExponentReport, Verdict, critical_values
 from .params import ProblemParams, ball_volume
 
 
@@ -336,8 +336,9 @@ def log_lower_bounds(j: int, config: IterationConfig,
     return g * bounds.growth_u, g * bounds.growth_v
 
 
-def _side_data(config: IterationConfig):
-    """Per-mode t-exponents and powers of 2 of the functional lower bounds.
+def _side_data(config: IterationConfig, rep: ExponentReport):
+    """Per-mode t-exponents and powers of 2 of the functional lower bounds;
+    rep is critical_values(config.params).
 
     U-side: exponent p*F with F = F1 (eigenfunction) or F3 (direct) and
     2-power X_u = alpha_1 + beta_1 + c_beta - n; V-side: q*F with F = F2 or F4
@@ -345,7 +346,6 @@ def _side_data(config: IterationConfig):
     """
     params = config.params
     n = params.n
-    rep = critical_values(params)
     alpha1, a1, beta1, b1 = initial_exponents(config.init_mode, params)
     c_beta, c_b = _geometric_coeffs(params)
     if config.init_mode is InitMode.EIGENFUNCTION:
@@ -399,7 +399,7 @@ def lifespan_upper_bound(params: ProblemParams,
                                  constant_mode=constant_mode, data=data,
                                  holder_constant=holder_constant)
         bounds = iteration_bounds(config)
-        (f_u, x_u, name_u), (f_v, x_v, name_v) = _side_data(config)
+        (f_u, x_u, name_u), (f_v, x_v, name_v) = _side_data(config, rep)
         if f_u > 0.0:
             log_candidates[name_u] = (x_u * ln2 - bounds.growth_u) \
                 / (params.p * f_u)

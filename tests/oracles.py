@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 
+from nakao.exponents import critical_values
 from nakao.slicing import (IterationBounds, IterationConfig,
                            _geometric_coeffs, _side_data, iteration_bounds,
                            product_limit, slice_factor)
@@ -49,7 +50,7 @@ def log_functional_bound_u(t: float, j: int, config: IterationConfig,
         limit = product_limit(params.pq)
     if t < max(params.R, 2.0 * limit):
         raise ValueError("the simplified bound needs t >= max(R, 2L)")
-    (f_u, x_u, _), _ = _side_data(config)
+    (f_u, x_u, _), _ = _side_data(config, critical_values(params))
     c_beta, _ = _geometric_coeffs(params)
     g = params.pq ** ((j - 1) / 2.0)
     return (g * (bounds.growth_u - x_u * math.log(2.0)

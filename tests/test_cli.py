@@ -157,6 +157,17 @@ def test_region_flag_overrides_config(tmp_path):
     assert len(rows) == 49
 
 
+def test_config_file_is_closed(tmp_path):
+    # a file object left for the collector to close warns when collected
+    cfg = tmp_path / "c.json"
+    cfg.write_text('{"n": 2, "grid": 3}')
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert dispatch(["region", "--config", str(cfg),
+                         "--out", str(tmp_path / "reg")]) == 0
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+
+
 @pytest.mark.parametrize("box", [
     ["--p-min", "0.5"],                       # lower end not above 1
     ["--p-min", "3", "--p-max", "2"],         # empty range

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,8 @@ from nakao.cli import dispatch
 from nakao.exponents import (Verdict, alpha0, alpha1, alpha_n, alpha_nw,
                              comp_shifted, comp_wave, critical_values,
                              diagonal_blowup_bound, f2, f3, fujita_exponent,
-                             p0_exponent, region_scan, strauss_exponent)
+                             p0_exponent, region_scan, scan_arrays,
+                             strauss_exponent)
 from nakao.params import ProblemParams, admissible_cap
 
 
@@ -211,3 +213,31 @@ def test_verdict_matches_condition(pair, n):
         assert rep.verdict is Verdict.BLOW_UP_WAKASUGI_ONLY
     else:
         assert rep.verdict is Verdict.NO_BLOW_UP_KNOWN
+
+
+@pytest.mark.parametrize("res", [256, 300])   # one block; one and a ragged one
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_region_scan_blocks_match_one_scan(n, res):
+    box = (1.005, 6.0)
+    scan = region_scan(n, box, box, res)
+    P, Q = (a.ravel() for a in np.meshgrid(
+        np.linspace(*box, res), np.linspace(*box, res), indexing="ij"))
+    got = (scan.p, scan.q, scan.alpha_n, scan.F, scan.verdict_code,
+           scan.binding)
+    for have, want in zip(got, (P, Q, *scan_arrays(n, P, Q))):
+        assert have.dtype == want.dtype
+        assert have.tobytes() == want.tobytes()
+
+
+def test_region_scan_peak_memory():
+    # scan_arrays on the whole grid held ~15 grid-sized temporaries (2.9x
+    # the returned arrays); in blocks the peak is the result plus one block
+    tracemalloc.start()
+    try:
+        scan = region_scan(2, (1.005, 6.0), (1.005, 6.0), 600)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    result = sum(a.nbytes for a in (scan.p, scan.q, scan.alpha_n, scan.F,
+                                    scan.verdict_code, scan.binding))
+    assert peak <= 2 * result

@@ -239,7 +239,9 @@ def test_region_csv_matches_scan_arrays(tmp_path):
             (2, (1.0123, 5.91, 1.0071, 6.07), 23),
             # crosses the n = 3 admissibility cap: all four verdicts and all
             # three binding components
-            (3, (1.01, 3.6, 1.01, 3.6), 41)]:
+            (3, (1.01, 3.6, 1.01, 3.6), 41),
+            # 90,000 rows: one full region_scan block and a ragged one
+            (2, None, 300)]:
         out = tmp_path / f"reg{n}_{res}"
         argv = ["region", "--n", str(n), "--grid", str(res), "--out", str(out)]
         if box is None:
