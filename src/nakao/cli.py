@@ -152,8 +152,8 @@ def cmd_region(cfg: dict) -> int:
     index = np.arange(res, dtype=np.min_scalar_type(res - 1))
     write_csv(f"{out}.csv", cfg,
               ["p", "q", "alphaN", "F", "verdict", "binding_component"],
-              [(scan.p[::res], np.repeat(index, res)),
-               (scan.q[:res], np.tile(index, res)),
+              [(scan.p_axis, np.repeat(index, res)),
+               (scan.q_axis, np.tile(index, res)),
                scan.alpha_n, scan.F,
                ([v.value for v in Verdict], scan.verdict_code),
                (np.arange(4), scan.binding)])
@@ -161,13 +161,14 @@ def cmd_region(cfg: dict) -> int:
         colors = np.array([c for _, c in _REGION_LABELS],
                           dtype=object)[scan.verdict_code]
         curve_p, curve_q = [], []
-        for pv in scan.p[::res]:
+        for pv in scan.p_axis:
             qc = critical_curve_q(n, float(pv), q_max)
             if qc is not None and qc >= q_min:
                 curve_p.append(float(pv))
                 curve_q.append(qc)
         curves = [(curve_p, curve_q, "#1a237e")] if len(curve_p) > 1 else None
-        scatter_svg(f"{out}.svg", scan.p, scan.q, colors, "p", "q",
+        scatter_svg(f"{out}.svg", np.repeat(scan.p_axis, res),
+                    np.tile(scan.q_axis, res), colors, "p", "q",
                     f"blow-up classification, n={n}", legend=_REGION_LABELS,
                     point_size=max(2.0, 360.0 / res), config=cfg,
                     curves=curves)

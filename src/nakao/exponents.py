@@ -236,24 +236,30 @@ def diagonal_blowup_bound(n: int) -> float:
 # region scans
 
 _VERDICTS = tuple(Verdict)   # verdict by code
-_SCAN_BLOCK = 65_536         # cells per scan_arrays call in region_scan
+_SCAN_BLOCK = 8_192          # cells per scan_arrays call in region_scan
 
 
 @dataclass(frozen=True)
 class RegionScan:
-    """Flattened classification grid over a p-q box for one dimension."""
+    """Flattened classification grid over a p-q box for one dimension.
+
+    The grid is kept as its two axes, each of length res: cell i lies at
+    (p_axis[i // res], q_axis[i % res]), so p varies slowest.  The four
+    result arrays hold one entry per cell in that order.
+    """
 
     n: int
-    p: np.ndarray
-    q: np.ndarray
+    p_axis: np.ndarray
+    q_axis: np.ndarray
     alpha_n: np.ndarray
     F: np.ndarray
-    verdict_code: np.ndarray   # int codes, in the order of Verdict
-    binding: np.ndarray        # 1-based index of the maximal alpha_n component
+    verdict_code: np.ndarray   # int8 codes, in the order of Verdict
+    binding: np.ndarray        # int8, 1-based index of the maximal component
 
 
 def scan_arrays(n: int, P: np.ndarray, Q: np.ndarray):
-    """Vectorized classification; returns (alpha_n, F, verdict codes, binding).
+    """Vectorized classification; returns (alpha_n, F, verdict codes, binding),
+    the codes and binding as int8.
 
     Code 3 (inadmissible) comes first; then the strict iteration condition
     (0), then the non-strict Wakasugi one (1); 2 otherwise.
@@ -268,7 +274,7 @@ def scan_arrays(n: int, P: np.ndarray, Q: np.ndarray):
     blow = aN > (n - 1.0) / 2.0
     wak = alpha_nw(P, Q) >= n / 2.0
     codes = np.where(~ok, 3, np.where(blow, 0, np.where(wak, 1, 2)))
-    return aN, F, codes.astype(np.int64), binding.astype(np.int64)
+    return aN, F, codes.astype(np.int8), binding.astype(np.int8)
 
 
 def critical_curve_q(n: int, p: float, q_hi: float) -> float | None:
@@ -300,19 +306,19 @@ def region_scan(n: int, p_range: tuple[float, float], q_range: tuple[float, floa
     for lo, hi in (p_range, q_range):
         if not (1.0 < lo < hi):
             raise ValueError(f"range must satisfy 1 < lo < hi, got ({lo}, {hi})")
-    # the grid is allocated first, so that one too large for memory is
-    # refused (MemoryError) before anything else is built
-    P, Q = np.empty((2, resolution, resolution))
-    P[:] = np.linspace(p_range[0], p_range[1], resolution)[:, None]
-    Q[:] = np.linspace(q_range[0], q_range[1], resolution)
-    P, Q = P.ravel(), Q.ravel()
+    # the results are allocated first, so that a grid too large for memory
+    # is refused (MemoryError) before anything is classified
+    cells = resolution * resolution
+    aN, F = np.empty((2, cells))
+    codes, binding = np.empty((2, cells), dtype=np.int8)
+    p_axis = np.linspace(p_range[0], p_range[1], resolution)
+    q_axis = np.linspace(q_range[0], q_range[1], resolution)
     # scan_arrays makes ~15 temporaries the size of its input, so it runs on
-    # fixed blocks of cells; the values are elementwise and do not change
-    aN, F = np.empty((2, P.size))
-    codes, binding = np.empty((2, P.size), dtype=np.int64)
-    for lo in range(0, P.size, _SCAN_BLOCK):
-        cells = slice(lo, lo + _SCAN_BLOCK)
-        aN[cells], F[cells], codes[cells], binding[cells] = scan_arrays(
-            n, P[cells], Q[cells])
-    return RegionScan(n=n, p=P, q=Q, alpha_n=aN, F=F,
+    # fixed blocks of cells, whose p and q are looked up from the axes
+    for lo in range(0, cells, _SCAN_BLOCK):
+        hi = min(lo + _SCAN_BLOCK, cells)
+        rows, cols = np.divmod(np.arange(lo, hi), resolution)
+        aN[lo:hi], F[lo:hi], codes[lo:hi], binding[lo:hi] = scan_arrays(
+            n, p_axis[rows], q_axis[cols])
+    return RegionScan(n=n, p_axis=p_axis, q_axis=q_axis, alpha_n=aN, F=F,
                       verdict_code=codes, binding=binding)

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-_BLOCK_ROWS = 1 << 16  # rows formatted and written per block; bounds memory
+_BLOCK_ROWS = 1 << 13  # rows formatted and written per block; bounds memory
 
 
 def _native(value):

@@ -123,13 +123,16 @@ def test_diagonal_blowup_bound():
 
 def test_region_scan_shapes_and_verdicts():
     scan = region_scan(4, (1.01, 2.0), (1.01, 2.0), 3)
-    assert scan.p.size == 9
+    assert scan.p_axis.size == scan.q_axis.size == 3
+    for cells in (scan.alpha_n, scan.F, scan.verdict_code, scan.binding):
+        assert cells.size == 9
     # the shifted component is never strictly maximal for n >= 4 boxes
     assert not np.any(scan.binding == 3)
     scan1 = region_scan(1, (1.1, 5.0), (1.1, 5.0), 5)
     assert np.all(scan1.verdict_code == list(Verdict).index(Verdict.BLOW_UP))
     corners = region_scan(2, (1.5, 2.5), (1.5, 2.5), 2)
-    assert corners.p.size == 4
+    assert corners.p_axis.tolist() == corners.q_axis.tolist() == [1.5, 2.5]
+    assert corners.verdict_code.size == 4
     with pytest.raises(ValueError):
         region_scan(2, (1.5, 2.5), (1.5, 2.5), 1)
     with pytest.raises(ValueError):
@@ -215,29 +218,54 @@ def test_verdict_matches_condition(pair, n):
         assert rep.verdict is Verdict.NO_BLOW_UP_KNOWN
 
 
-@pytest.mark.parametrize("res", [256, 300])   # one block; one and a ragged one
+# under one 8,192-cell block; one block and a ragged one; exactly two
+# blocks; eight blocks; ten blocks and a ragged one
+@pytest.mark.parametrize("res", [90, 100, 128, 256, 300])
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_region_scan_blocks_match_one_scan(n, res):
     box = (1.005, 6.0)
     scan = region_scan(n, box, box, res)
-    P, Q = (a.ravel() for a in np.meshgrid(
-        np.linspace(*box, res), np.linspace(*box, res), indexing="ij"))
-    got = (scan.p, scan.q, scan.alpha_n, scan.F, scan.verdict_code,
-           scan.binding)
-    for have, want in zip(got, (P, Q, *scan_arrays(n, P, Q))):
-        assert have.dtype == want.dtype
-        assert have.tobytes() == want.tobytes()
+    axis = np.linspace(*box, res)
+    assert scan.p_axis.tobytes() == scan.q_axis.tobytes() == axis.tobytes()
+    P, Q = (a.ravel() for a in np.meshgrid(axis, axis, indexing="ij"))
+    # cell i lies at (p_axis[i // res], q_axis[i % res])
+    assert np.repeat(scan.p_axis, res).tobytes() == P.tobytes()
+    assert np.tile(scan.q_axis, res).tobytes() == Q.tobytes()
+    got = (scan.alpha_n, scan.F, scan.verdict_code, scan.binding)
+    want = scan_arrays(n, P, Q)
+    assert want[2].dtype == want[3].dtype == np.int8
+    for have, ref in zip(got, want):
+        assert have.dtype == ref.dtype
+        assert have.tobytes() == ref.tobytes()
 
 
-def test_region_scan_peak_memory():
-    # scan_arrays on the whole grid held ~15 grid-sized temporaries (2.9x
-    # the returned arrays); in blocks the peak is the result plus one block
+def _traced_peak(call):
+    """(result, peak bytes that tracemalloc saw while call() ran)."""
     tracemalloc.start()
     try:
-        scan = region_scan(2, (1.005, 6.0), (1.005, 6.0), 600)
+        result = call()
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    result = sum(a.nbytes for a in (scan.p, scan.q, scan.alpha_n, scan.F,
-                                    scan.verdict_code, scan.binding))
-    assert peak <= 2 * result
+    return result, peak
+
+
+def test_region_scan_peak_memory():
+    # the peak is the returned arrays plus one block's temporaries
+    scan, peak = _traced_peak(
+        lambda: region_scan(2, (1.005, 6.0), (1.005, 6.0), 600))
+    result = sum(a.nbytes for a in (scan.p_axis, scan.q_axis, scan.alpha_n,
+                                    scan.F, scan.verdict_code, scan.binding))
+    assert peak <= 1.3 * result
+
+
+def test_region_command_peak_memory(tmp_path):
+    # 22 bytes per cell: alphaN and F (8 each), the verdict and binding codes
+    # (1 each) and the 2-byte p and q index codes of the CSV writer; the rest
+    # is one block of classification temporaries or of CSV text
+    res = 600
+    rc, peak = _traced_peak(lambda: dispatch(
+        ["region", "--n", "2", "--grid", str(res),
+         "--out", str(tmp_path / "reg")]))
+    assert rc == 0
+    assert peak <= 1.5 * 22 * res * res

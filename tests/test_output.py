@@ -240,7 +240,8 @@ def test_region_csv_matches_scan_arrays(tmp_path):
             # crosses the n = 3 admissibility cap: all four verdicts and all
             # three binding components
             (3, (1.01, 3.6, 1.01, 3.6), 41),
-            # 90,000 rows: one full region_scan block and a ragged one
+            # 90,000 rows: ten full region_scan and write blocks and a
+            # ragged one
             (2, None, 300)]:
         out = tmp_path / f"reg{n}_{res}"
         argv = ["region", "--n", str(n), "--grid", str(res), "--out", str(out)]
