@@ -16,11 +16,12 @@ from dataclasses import fields
 
 import numpy as np
 
-from .exponents import (Verdict, critical_curve_q, critical_values,
-                        diagonal_blowup_bound, fujita_exponent, p0_exponent,
-                        region_scan, strauss_exponent)
+from .exponents import (Verdict, check_region, critical_curve_q,
+                        critical_values, diagonal_blowup_bound,
+                        fujita_exponent, p0_exponent, region_scan, scan_block,
+                        strauss_exponent)
 from .lifespan import InconclusiveSweep, sweep
-from .output import write_csv, write_json
+from .output import check_room, column_texts, write_csv, write_json
 from .params import ProblemParams, admissible_cap
 from .pde import InitialDataSpec, Numerics, run
 from .slicing import (InitMode, IterationConfig, closed_form_deviation,
@@ -129,6 +130,7 @@ def resolve_config(command: str, file_path: str | None,
 # ---------------------------------------------------------------------------
 # subcommands
 
+_REGION_HEADER = ["p", "q", "alphaN", "F", "verdict", "binding_component"]
 _REGION_LABELS = [("blow_up", "#c62828"), ("wakasugi_only", "#ef9a00"),
                   ("none_known", "#9e9e9e"), ("inadmissible", "#e0e0e0")]
 
@@ -145,19 +147,28 @@ def cmd_region(cfg: dict) -> int:
         if math.isnan(cfg[f"{x}_min"]):
             cfg[f"{x}_min"] = 1.0 + (cfg[f"{x}_max"] - 1.0) / res
     q_min, q_max = cfg["q_min"], cfg["q_max"]
-    scan = region_scan(n, (cfg["p_min"], cfg["p_max"]), (q_min, q_max), res)
-    out = cfg["out"]
+    p_range, q_range = (cfg["p_min"], cfg["p_max"]), (q_min, q_max)
+    check_region(n, p_range, q_range, res)
+    csv = f"{cfg['out']}.csv"
+    check_room(csv, res * res, len(_REGION_HEADER))
+    # before the CSV is opened, so that a grid too large for memory leaves none
+    scan = region_scan(n, p_range, q_range, res) if cfg["svg"] else None
+    p_axis, q_axis = (np.linspace(*r, res) for r in (p_range, q_range))
     # the grid repeats res p values, res q values, 4 verdicts and 3 binding
-    # indices, so those columns go as indexed (values, codes) pairs
-    index = np.arange(res, dtype=np.min_scalar_type(res - 1))
-    write_csv(f"{out}.csv", cfg,
-              ["p", "q", "alphaN", "F", "verdict", "binding_component"],
-              [(scan.p_axis, np.repeat(index, res)),
-               (scan.q_axis, np.tile(index, res)),
-               scan.alpha_n, scan.F,
-               ([v.value for v in Verdict], scan.verdict_code),
-               (np.arange(4), scan.binding)])
-    if cfg["svg"]:
+    # indices: each is formatted once, here, before write_csv forks
+    p_text, q_text, verdicts, bindings = (
+        np.array(list(column_texts(v)), dtype=object)
+        for v in (p_axis, q_axis, [x.value for x in Verdict], np.arange(4)))
+
+    def texts(lo, hi):   # each row block is classified where it is written
+        rows, cols, (aN, F, codes, binding) = scan_block(n, p_axis, q_axis,
+                                                         lo, hi)
+        return [p_text[rows].tolist(), q_text[cols].tolist(),
+                column_texts(aN), column_texts(F), verdicts[codes].tolist(),
+                bindings[binding].tolist()]
+
+    write_csv(csv, cfg, _REGION_HEADER, texts, res * res)
+    if scan is not None:
         colors = np.array([c for _, c in _REGION_LABELS],
                           dtype=object)[scan.verdict_code]
         curve_p, curve_q = [], []
@@ -167,7 +178,7 @@ def cmd_region(cfg: dict) -> int:
                 curve_p.append(float(pv))
                 curve_q.append(qc)
         curves = [(curve_p, curve_q, "#1a237e")] if len(curve_p) > 1 else None
-        scatter_svg(f"{out}.svg", np.repeat(scan.p_axis, res),
+        scatter_svg(f"{cfg['out']}.svg", np.repeat(scan.p_axis, res),
                     np.tile(scan.q_axis, res), colors, "p", "q",
                     f"blow-up classification, n={n}", legend=_REGION_LABELS,
                     point_size=max(2.0, 360.0 / res), config=cfg,
@@ -363,8 +374,8 @@ def dispatch(argv: list[str]) -> int:
         cfg = resolve_config(ns.command, ns.config, flags)
         return _COMMANDS[ns.command](cfg)
     except (ConfigError, ValueError, MemoryError) as exc:
-        # MemoryError: numpy refuses an array too large for the host (a
-        # region grid of 1e8 x 1e8) before anything is written
+        # MemoryError: numpy refuses an array too large for the host (the
+        # whole-grid scan of region --svg) before anything is written
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -236,12 +236,13 @@ def diagonal_blowup_bound(n: int) -> float:
 # region scans
 
 _VERDICTS = tuple(Verdict)   # verdict by code
-_SCAN_BLOCK = 8_192          # cells per scan_arrays call in region_scan
+_SCAN_BLOCK = 8_192          # cells per scan_block call; bounds temporaries
 
 
 @dataclass(frozen=True)
 class RegionScan:
-    """Flattened classification grid over a p-q box for one dimension.
+    """Flattened classification grid over a p-q box for one dimension; the
+    region CSV does not read it, but classifies its own row blocks.
 
     The grid is kept as its two axes, each of length res: cell i lies at
     (p_axis[i // res], q_axis[i % res]), so p varies slowest.  The four
@@ -293,12 +294,10 @@ def critical_curve_q(n: int, p: float, q_hi: float) -> float | None:
     return _bisect_root(f, q_lo, q_hi)
 
 
-def region_scan(n: int, p_range: tuple[float, float], q_range: tuple[float, float],
-                resolution: int) -> RegionScan:
-    """Classify a resolution x resolution grid over the closed box.
-
-    Both range endpoints are included; the lower ends must exceed 1.
-    """
+def check_region(n: int, p_range: tuple[float, float],
+                 q_range: tuple[float, float], resolution: int) -> None:
+    """Refuse (ValueError) a region scan without a dimension, with fewer
+    than 2 points per axis, or with an axis outside 1 < lo < hi."""
     if n < 1:
         raise ValueError(f"dimension must be >= 1, got {n}")
     if resolution < 2:
@@ -306,6 +305,23 @@ def region_scan(n: int, p_range: tuple[float, float], q_range: tuple[float, floa
     for lo, hi in (p_range, q_range):
         if not (1.0 < lo < hi):
             raise ValueError(f"range must satisfy 1 < lo < hi, got ({lo}, {hi})")
+
+
+def scan_block(n: int, p_axis: np.ndarray, q_axis: np.ndarray, lo: int,
+               hi: int):
+    """(rows, cols, scan_arrays results) for cells lo..hi of the grid: cell
+    i lies at (p_axis[rows], q_axis[cols]), rows, cols = divmod(i, res)."""
+    rows, cols = np.divmod(np.arange(lo, hi), len(q_axis))
+    return rows, cols, scan_arrays(n, p_axis[rows], q_axis[cols])
+
+
+def region_scan(n: int, p_range: tuple[float, float], q_range: tuple[float, float],
+                resolution: int) -> RegionScan:
+    """Classify a resolution x resolution grid over the closed box.
+
+    Both range endpoints are included; the lower ends must exceed 1.
+    """
+    check_region(n, p_range, q_range, resolution)
     # the results are allocated first, so that a grid too large for memory
     # is refused (MemoryError) before anything is classified
     cells = resolution * resolution
@@ -313,12 +329,9 @@ def region_scan(n: int, p_range: tuple[float, float], q_range: tuple[float, floa
     codes, binding = np.empty((2, cells), dtype=np.int8)
     p_axis = np.linspace(p_range[0], p_range[1], resolution)
     q_axis = np.linspace(q_range[0], q_range[1], resolution)
-    # scan_arrays makes ~15 temporaries the size of its input, so it runs on
-    # fixed blocks of cells, whose p and q are looked up from the axes
     for lo in range(0, cells, _SCAN_BLOCK):
         hi = min(lo + _SCAN_BLOCK, cells)
-        rows, cols = np.divmod(np.arange(lo, hi), resolution)
-        aN[lo:hi], F[lo:hi], codes[lo:hi], binding[lo:hi] = scan_arrays(
-            n, p_axis[rows], q_axis[cols])
+        _, _, (aN[lo:hi], F[lo:hi], codes[lo:hi], binding[lo:hi]) = \
+            scan_block(n, p_axis, q_axis, lo, hi)
     return RegionScan(n=n, p_axis=p_axis, q_axis=q_axis, alpha_n=aN, F=F,
                       verdict_code=codes, binding=binding)

@@ -49,7 +49,7 @@ def _cell(value) -> str:
     return str(value)
 
 
-def _column_text(col):
+def column_texts(col):
     """Cell texts of one column block: repr for float64 (which spells nan and
     inf as _cell does), str for int and str arrays, else _cell per cell."""
     if isinstance(col, np.ndarray):
@@ -63,34 +63,6 @@ def _column_text(col):
 def config_line(config: dict) -> str:
     return "# config: " + json.dumps(_native(config), sort_keys=True,
                                      separators=(",", ":"))
-
-
-def _indexed(col) -> bool:
-    """An indexed column is a pair (values, codes): row i reads values[codes[i]]."""
-    return (type(col) is tuple and len(col) == 2
-            and isinstance(col[1], np.ndarray))
-
-
-def _length(col) -> int:
-    """Row count of one column; refuses codes that do not index `values`
-    (a negative code would silently read from the end)."""
-    if not _indexed(col):
-        return len(col)
-    values, codes = col
-    if (codes.dtype.kind not in "iu" or codes.ndim != 1
-            or codes.size and (codes.min() < 0 or codes.max() >= len(values))):
-        raise ValueError("codes must be integers in [0, len(values))")
-    return codes.size
-
-
-def _blocks(col):
-    """(start, stop) -> cell texts of one column.  An indexed column formats
-    each value once, by the plain-column rule, and looks its rows up."""
-    if not _indexed(col):
-        return lambda start, stop: _column_text(col[start:stop])
-    values, codes = col
-    texts = np.array(list(_column_text(values)), dtype=object)
-    return lambda start, stop: texts[codes[start:stop]].tolist()
 
 
 def _usable_cpus() -> int:
@@ -111,21 +83,23 @@ def _parts(n_rows: int) -> list[tuple[int, int]]:
     return list(zip(cuts, cuts[1:]))
 
 
-def _write_rows(fh, blocks, start: int, stop: int) -> None:
-    """Rows start..stop of the formatted columns, one block per write."""
-    for lo in range(start, stop, _BLOCK_ROWS):
-        hi = min(lo + _BLOCK_ROWS, stop)
-        texts = [block(lo, hi) for block in blocks]
-        fh.write("\n".join(map(",".join, zip(*texts))) + "\n")
+def _write_rows(fh, texts, start: int, stop: int) -> None:
+    """Rows start..stop, _BLOCK_ROWS per write; a ragged last block is folded
+    into the one before it (so a write holds up to 2 * _BLOCK_ROWS - 1)."""
+    lo = start
+    while lo < stop:
+        hi = stop if stop - lo < 2 * _BLOCK_ROWS else lo + _BLOCK_ROWS
+        fh.write("\n".join(map(",".join, zip(*texts(lo, hi)))) + "\n")
+        lo = hi
 
 
-def _worker(tmp, blocks, start: int, stop: int):
+def _worker(tmp, texts, start: int, stop: int):
     """Body of a forked child: rows start..stop into tmp, then exit 0, or 1
     with the traceback on stderr.  os._exit runs none of the caller's atexit
     or finally handlers and flushes none of its buffers."""
     code = 1
     try:
-        _write_rows(tmp, blocks, start, stop)
+        _write_rows(tmp, texts, start, stop)
         tmp.flush()
         code = 0
     except Exception:
@@ -134,14 +108,14 @@ def _worker(tmp, blocks, start: int, stop: int):
         os._exit(code)
 
 
-def _write_parts(fh, blocks, parts) -> None:
+def _write_parts(fh, texts, parts) -> None:
     """Every part into fh, in order.  The caller formats part 0; each later
     part is formatted by a forked child into an unnamed file in the output's
     directory and appended by a kernel copy (os.sendfile, no user buffer)
     once the child exits.  On any failure the children left are killed and
     reaped."""
     if len(parts) == 1:
-        _write_rows(fh, blocks, *parts[0])
+        _write_rows(fh, texts, *parts[0])
         return
     workdir = os.path.dirname(os.path.abspath(fh.name))
     tmps, pids = [], []  # one per later part; pids holds the unreaped ones
@@ -151,9 +125,9 @@ def _write_parts(fh, blocks, parts) -> None:
                                                dir=workdir))
             pid = os.fork()
             if pid == 0:
-                _worker(tmps[-1], blocks, start, stop)
+                _worker(tmps[-1], texts, start, stop)
             pids.append(pid)
-        _write_rows(fh, blocks, *parts[0])
+        _write_rows(fh, texts, *parts[0])
         fh.flush()
         for (start, stop), tmp in zip(parts[1:], tmps):
             status = os.waitpid(pids[0], 0)[1]
@@ -175,26 +149,38 @@ def _write_parts(fh, blocks, parts) -> None:
             tmp.close()
 
 
-def write_csv(path, config: dict, header: list[str], columns) -> None:
-    """CSV with the resolved config as a leading comment line; `columns` holds
-    one sequence or indexed (values, codes) pair per header entry (none at
-    all, as zip(*[]) gives, is 0 rows).  Nothing is written if they are
-    ragged or a code is out of range, and the file is removed if writing
-    fails.  Large outputs are formatted on every usable CPU (see _parts);
-    the bytes are the same."""
-    columns = list(columns)
-    lengths = [_length(col) for col in columns]
-    if columns and (len(columns) != len(header) or len(set(lengths)) > 1):
-        raise ValueError("need one column per header entry, all one length")
-    n_rows = lengths[0] if columns else 0
-    # built before any fork, so that the children inherit each indexed
-    # column's texts instead of formatting them again
-    blocks = [_blocks(col) for col in columns]
+def check_room(path, n_rows: int, n_columns: int) -> None:
+    """Refuse (ValueError) a CSV of n_rows x n_columns cells that cannot fit
+    in the space left on path's filesystem: each cell writes at least its
+    ',' or newline."""
+    st = os.statvfs(os.path.dirname(os.path.abspath(path)))
+    need, free = n_rows * n_columns, st.f_bavail * st.f_frsize
+    if need > free:
+        raise ValueError(f"{path} needs at least {need} bytes; {free} free")
+
+
+def write_csv(path, config: dict, header: list[str], columns,
+              n_rows: int | None = None) -> None:
+    """CSV with the resolved config as a leading comment line.  `columns`
+    holds one sequence per header entry (none at all, as zip(*[]) gives, is
+    0 rows), or is a function (lo, hi) -> one iterable of cell texts per
+    header entry for rows lo..hi of n_rows.  Nothing is written if the
+    sequences are ragged, and the file is removed if writing fails.  Large
+    outputs are formatted on every usable CPU (see _parts); the bytes are
+    the same."""
+    texts = columns
+    if n_rows is None:
+        columns = list(columns)
+        lengths = {len(col) for col in columns}
+        if columns and (len(columns) != len(header) or len(lengths) > 1):
+            raise ValueError("need one column per header entry, all one length")
+        n_rows = lengths.pop() if columns else 0
+        texts = lambda lo, hi: [column_texts(col[lo:hi]) for col in columns]
     fh = open(path, "w", encoding="utf-8")
     try:
         with fh:
             fh.write(config_line(config) + "\n" + ",".join(header) + "\n")
-            _write_parts(fh, blocks, _parts(n_rows))
+            _write_parts(fh, texts, _parts(n_rows))
     except BaseException:
         os.unlink(path)
         raise

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -230,6 +231,17 @@ def test_region_grid_too_large_for_memory_exit_2(tmp_path, capsys):
                      "--out", str(tmp_path / "reg")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert not list(tmp_path.iterdir())
+
+
+def test_region_csv_too_large_for_disk_exit_2(tmp_path, monkeypatch, capsys):
+    # each of the 1e6 x 6 cells writes at least its ',' or newline
+    free = os.statvfs_result((4096, 4096, 2**20, 256, 256, 0, 0, 0, 0, 255))
+    monkeypatch.setattr(os, "statvfs", lambda path: free)
+    assert dispatch(["region", "--n", "2", "--grid", "1000",
+                     "--out", str(tmp_path / "reg")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "1048576 free" in err
     assert not list(tmp_path.iterdir())
 
 

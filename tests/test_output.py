@@ -91,7 +91,8 @@ def _columns(length):
 
 
 def _indexed_columns(length):
-    """The columns of _columns(length) as (values, codes) pairs."""
+    """The columns of _columns(length) as (values, codes) pairs, which the
+    row function of _indexed_rows looks up."""
     return {
         "f": (np.array(FLOATS, dtype=np.float64), _codes(FLOATS, length)),
         "i": (np.array(INTS, dtype=np.int64), _codes(INTS, length)),
@@ -102,6 +103,15 @@ def _indexed_columns(length):
         "listed": (MIXED[::-1], _codes(MIXED, length)),
         "b": (np.array(BOOLS, dtype=bool), _codes(BOOLS, length)),
     }
+
+
+def _indexed_rows(columns):
+    """A write_csv row function over (values, codes) columns that formats
+    each value once and looks its rows up, as the region command does."""
+    texts = [np.array(list(output.column_texts(values)), dtype=object)
+             for values, _ in columns]
+    return lambda lo, hi: [t[codes[lo:hi]].tolist()
+                           for t, (_, codes) in zip(texts, columns)]
 
 
 def _on_cpus(cases):
@@ -166,14 +176,28 @@ def test_indexed_columns_match_plain(tmp_path, monkeypatch, block, length,
     header = list(plain)
     config = {"n": 2}
     write_csv(tmp_path / "plain.csv", config, header, plain.values())
-    write_csv(tmp_path / "indexed.csv", config, header, indexed.values())
+    write_csv(tmp_path / "indexed.csv", config, header,
+              _indexed_rows(list(indexed.values())), length)
     assert (tmp_path / "indexed.csv").read_bytes() == \
         (tmp_path / "plain.csv").read_bytes()
-    # one indexed column among plain ones
-    write_csv(tmp_path / "one.csv", config, header,
-              [indexed["f"]] + list(plain.values())[1:])
-    assert (tmp_path / "one.csv").read_bytes() == \
-        (tmp_path / "plain.csv").read_bytes()
+
+
+@pytest.mark.parametrize("length", LENGTHS + [2 * BLOCK, 2 * BLOCK - 1])
+def test_ragged_last_block_is_folded(tmp_path, monkeypatch, length):
+    _split(monkeypatch, BLOCK, 1)
+    calls = []
+
+    def rows(lo, hi):
+        calls.append((lo, hi))
+        return [map(str, range(lo, hi))]
+
+    write_csv(tmp_path / "r.csv", {}, ["i"], rows, length)
+    assert (tmp_path / "r.csv").read_text().splitlines()[2:] == \
+        [str(i) for i in range(length)]
+    # whole blocks, the last one taking a ragged tail of up to BLOCK - 1 rows
+    whole = max(1, length // BLOCK) if length else 0
+    assert calls == [(i * BLOCK, length if i == whole - 1 else (i + 1) * BLOCK)
+                     for i in range(whole)]
 
 
 class _Unprintable:
@@ -191,13 +215,21 @@ def test_failed_cell_leaves_no_file_and_no_child(tmp_path, monkeypatch,
     assert len(output._parts(length)) == 3
     mixed = _cycle(MIXED, length)
     mixed[bad_row] = _Unprintable()
+
+    def rows(lo, hi):   # a row function that fails on the same row
+        if lo <= bad_row < hi:
+            raise ValueError(f"no texts for row {bad_row}")
+        return [map(str, range(lo, hi))]
+
     path = tmp_path / "bad.csv"
-    with pytest.raises(error):
-        write_csv(path, {}, ["f", "mixed"],
-                  [np.zeros(length), mixed])
-    assert list(tmp_path.iterdir()) == []
-    with pytest.raises(ChildProcessError):   # every worker was reaped
-        os.waitpid(-1, os.WNOHANG)
+    for header, columns, n_rows in (
+            (["f", "mixed"], [np.zeros(length), mixed], None),
+            (["i"], rows, length)):
+        with pytest.raises(error):
+            write_csv(path, {}, header, columns, n_rows)
+        assert list(tmp_path.iterdir()) == []
+        with pytest.raises(ChildProcessError):   # every worker was reaped
+            os.waitpid(-1, os.WNOHANG)
 
 
 def test_numpy_bools_spelled_like_bools(tmp_path):
@@ -214,12 +246,7 @@ def test_numpy_bools_spelled_like_bools(tmp_path):
 def test_write_csv_rejects_ragged_columns(tmp_path):
     for columns in (
             [np.zeros(2)],
-            [np.zeros(2), np.zeros(3)],
-            [np.zeros(2), (np.zeros(2), np.array([0, -1]))],   # negative code
-            [np.zeros(2), (np.zeros(2), np.array([0, 2]))],    # code past end
-            [np.zeros(2), (np.zeros(2), np.array([0.0, 1.0]))],  # float codes
-            [np.zeros(2), (np.zeros(2), np.array([0, 1, 1]))],
-            [(np.zeros(2), np.array([1, 0])), np.zeros(3)]):
+            [np.zeros(2), np.zeros(3)]):
         path = tmp_path / "a.csv"
         with pytest.raises(ValueError):
             write_csv(path, {}, ["a", "b"], columns)
@@ -231,6 +258,28 @@ _VERDICT_NAMES = {0: "blow_up", 1: "wakasugi_only", 2: "none_known",
                   3: "inadmissible"}
 
 
+def _check_region_csv(out, n, box, res):
+    """Run region over the box (None: the default one) and compare its CSV
+    rows with one scan_arrays call on the meshgrid; returns the codes."""
+    argv = ["region", "--n", str(n), "--grid", str(res), "--out", str(out)]
+    if box is None:
+        box = (1.0 + 5.0 / res, 6.0) * 2
+    else:
+        argv += [f"--{k}={v!r}" for k, v in
+                 zip(("p-min", "p-max", "q-min", "q-max"), box)]
+    assert dispatch(argv) == 0
+    P, Q = (a.ravel() for a in np.meshgrid(
+        np.linspace(box[0], box[1], res), np.linspace(box[2], box[3], res),
+        indexing="ij"))
+    aN, F, codes, binding = scan_arrays(n, P, Q)
+    rows = [(float(p), float(q), float(a), float(f),
+             _VERDICT_NAMES[int(c)], int(b))
+            for p, q, a, f, c, b in zip(P, Q, aN, F, codes, binding)]
+    body = Path(f"{out}.csv").read_text().splitlines()[1:]
+    assert body == _ref_lines(_REGION_HEADER, rows)
+    return set(codes.tolist()), set(binding.tolist())
+
+
 def test_region_csv_matches_scan_arrays(tmp_path):
     for n, box, res in [
             # default box for n = 2: (1 + 5/res, 6] on both axes
@@ -240,27 +289,21 @@ def test_region_csv_matches_scan_arrays(tmp_path):
             # crosses the n = 3 admissibility cap: all four verdicts and all
             # three binding components
             (3, (1.01, 3.6, 1.01, 3.6), 41),
-            # 90,000 rows: ten full region_scan and write blocks and a
-            # ragged one
+            # 90,000 rows: ten full 8,192-row blocks, the last of them
+            # taking the ragged tail
             (2, None, 300)]:
-        out = tmp_path / f"reg{n}_{res}"
-        argv = ["region", "--n", str(n), "--grid", str(res), "--out", str(out)]
-        if box is None:
-            box = (1.0 + 5.0 / res, 6.0) * 2
-        else:
-            argv += [f"--{k}={v!r}" for k, v in
-                     zip(("p-min", "p-max", "q-min", "q-max"), box)]
-        assert dispatch(argv) == 0
-        P, Q = (a.ravel() for a in np.meshgrid(
-            np.linspace(box[0], box[1], res), np.linspace(box[2], box[3], res),
-            indexing="ij"))
-        aN, F, codes, binding = scan_arrays(n, P, Q)
-        rows = [(float(p), float(q), float(a), float(f),
-                 _VERDICT_NAMES[int(c)], int(b))
-                for p, q, a, f, c, b in zip(P, Q, aN, F, codes, binding)]
-        body = Path(f"{out}.csv").read_text().splitlines()[1:]
-        assert body == _ref_lines(_REGION_HEADER, rows)
-        assert len(set(codes.tolist())) > 1 and len(set(binding.tolist())) > 1
+        codes, binding = _check_region_csv(tmp_path / f"reg{n}_{res}", n,
+                                           box, res)
+        assert len(codes) > 1 and len(binding) > 1
         if n == 3:
-            assert set(codes.tolist()) == {0, 1, 2, 3}
-            assert set(binding.tolist()) == {1, 2, 3}
+            assert codes == {0, 1, 2, 3} and binding == {1, 2, 3}
+
+
+# 49 rows in blocks of 4: twelve blocks, the last taking a ragged row, and
+# parts that start inside a row of the grid (at row 24 on 2 CPUs, rows 16
+# and 32 on 3); the box crosses the n = 3 and 4 admissibility caps
+@pytest.mark.parametrize("n, workers", _on_cpus([(n,) for n in (1, 2, 3, 4)]))
+def test_region_csv_streamed_in_blocks(tmp_path, monkeypatch, n, workers):
+    _split(monkeypatch, BLOCK, workers)
+    assert len(output._parts(49)) == workers
+    _check_region_csv(tmp_path / "reg", n, (1.01, 3.6, 1.01, 3.6), 7)
