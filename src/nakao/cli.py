@@ -13,6 +13,7 @@ import json
 import math
 import sys
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 
@@ -124,6 +125,11 @@ def resolve_config(command: str, file_path: str | None,
         if (isinstance(v, float) and math.isnan(v)
                 and k not in ("p_min", "p_max", "q_min", "q_max")):
             raise ConfigError(f"bad value for {k!r}: {v!r}")
+    # refused before any work, so a missing directory costs no computation
+    out_dir = Path(cfg["out"]).parent
+    if not out_dir.is_dir():
+        raise ConfigError(f"no directory {str(out_dir)!r} for out "
+                          f"{cfg['out']!r}")
     return cfg
 
 

@@ -11,6 +11,7 @@ log D_j, log Q_j; the exponent sequences stay in plain binary64.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -91,19 +92,27 @@ def slice_factor(k: int, pq: float) -> float:
     return 1.0 + pq ** ((1.0 - k) / 2.0)
 
 
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
+
+
 def product_limit(pq: float) -> float:
     """L = lim L_j, accumulated in log space until the geometric tail of
-    sum log ell_k (bounded via log(1+x) <= x) drops below 1e-12."""
+    sum log ell_k (bounded via log(1+x) <= x) drops below 1e-12; +inf as
+    soon as the partial sum passes the log of the largest float (pq below
+    about 1.00232), so L never overflows."""
     if pq <= 1.0:
         raise ValueError(f"pq must exceed 1, got {pq}")
     root = pq ** -0.5
     log_sum = 0.0
+    term = 1.0        # (pq)^{(1-k)/2} at k = 1
     k = 1
     while True:
-        log_sum += math.log1p(pq ** ((1.0 - k) / 2.0))
-        # remaining sum of (pq)^{(1-i)/2} for i > k
-        tail = pq ** (-k / 2.0) / (1.0 - root)
-        if tail < 1e-12:
+        log_sum += math.log1p(term)
+        if log_sum > _LOG_FLOAT_MAX:
+            return math.inf
+        # the next term, which also leads the remaining sum over i > k
+        term = pq ** (-k / 2.0)
+        if term / (1.0 - root) < 1e-12:
             return math.exp(log_sum)
         k += 1
 

@@ -1,7 +1,8 @@
 """Reference computations that only the tests use: brute-force forms of
-slicing identities, the simplified U lower bound, and finite-difference
-residuals and the asymptotic ratio of Phi.  The package itself never needs
-them, so they live next to the assertions that check against them."""
+slicing identities, the simplified U lower bound, finite-difference
+residuals and the asymptotic ratio of Phi, and the Hoelder norms summed
+node by node for each t.  The package itself never needs them, so they live
+next to the assertions that check against them."""
 import math
 
 import numpy as np
@@ -10,7 +11,9 @@ from nakao.exponents import critical_values
 from nakao.slicing import (IterationBounds, IterationConfig,
                            _geometric_coeffs, _side_data, iteration_bounds,
                            product_limit, slice_factor)
-from nakao.testfn import PhiEvaluator
+from nakao.params import sphere_area
+from nakao.testfn import (_HOLDER_ORDER, _HOLDER_PANEL, PhiEvaluator,
+                          _gauss_legendre)
 
 
 def partial_product(j: int, pq: float) -> float:
@@ -89,3 +92,28 @@ def wave_residual(evaluator: PhiEvaluator, r_grid, t: float, h: float,
     lap = ((phi_p - 2.0 * phi_0 + phi_m) / (h * h)
            + (evaluator.n - 1) / r * (phi_p - phi_m) / (2.0 * h)) * math.exp(-t)
     return float(np.max(np.abs(psi_tt - lap)))
+
+
+def holder_norms_per_t(evaluator: PhiEvaluator, ts, p: float,
+                       R: float) -> np.ndarray:
+    """psi_holder_norm at every t of ts, summed node by node for each t
+    separately: wts * exp(p' (log Phi - t) + (n-1) log r) over the full
+    lattice panels below R+t and its partial last panel.  O(panels x t)."""
+    ts = np.atleast_1d(np.asarray(ts, dtype=float))
+    pp = p / (p - 1.0)
+    x, w = _gauss_legendre(_HOLDER_ORDER)
+    out = np.empty(ts.size)
+    for i, t in enumerate(ts):
+        upper = R + t
+        full = math.floor(upper / _HOLDER_PANEL)
+        edges = _HOLDER_PANEL * np.arange(full + 1.0)
+        lo, hi = edges[:-1], edges[1:]
+        if upper > _HOLDER_PANEL * full:
+            lo = np.append(lo, _HOLDER_PANEL * full)
+            hi = np.append(hi, upper)
+        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        r = (mid[:, None] + half[:, None] * x[None, :]).ravel()
+        wts = (half[:, None] * w[None, :]).ravel()
+        out[i] = np.sum(wts * np.exp(pp * (evaluator.log_phi(r) - t)
+                                     + (evaluator.n - 1) * np.log(r)))
+    return sphere_area(evaluator.n) * out

@@ -225,8 +225,9 @@ def test_testfn_non_finite_r_max_exit_2_without_output(tmp_path, capsys,
 
 
 def test_region_grid_too_large_for_memory_exit_2(tmp_path, capsys):
-    # numpy refuses the 1e8 x 1e8 grid (71.1 PiB) before allocating any of
-    # it; the refusal used to escape as a MemoryError traceback (exit 1)
+    # output.check_room refuses the 1e8 x 1e8 grid's CSV before any array
+    # exists; numpy's refusal of the grid (71.1 PiB) used to escape as a
+    # MemoryError traceback (exit 1)
     assert dispatch(["region", "--n", "2", "--grid", "100000000",
                      "--out", str(tmp_path / "reg")]) == 2
     err = capsys.readouterr().err
@@ -242,6 +243,27 @@ def test_region_csv_too_large_for_disk_exit_2(tmp_path, monkeypatch, capsys):
                      "--out", str(tmp_path / "reg")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "1048576 free" in err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv", [
+    ["curves"],
+    ["region", "--n", "2", "--grid", "5"],
+    ["simulate", "--n", "1", "--p", "2", "--q", "2", "--h", "0.1",
+     "--t-max", "1"],
+    ["sweep", "--n", "1", "--p", "2", "--q", "2", "--h", "0.1"],
+], ids=["curves", "region", "simulate", "sweep"])
+def test_out_in_missing_directory_exit_2_before_work(tmp_path, monkeypatch,
+                                                     capsys, argv):
+    # ended in a FileNotFoundError traceback (exit 1) once the output was
+    # computed; now resolve_config refuses it and no command runs
+    monkeypatch.setitem(cli._COMMANDS, argv[0],
+                        lambda cfg: pytest.fail("the command ran"))
+    out = tmp_path / "missing" / "o"
+    assert dispatch([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "missing" in err
     assert not list(tmp_path.iterdir())
 
 
@@ -366,6 +388,17 @@ def test_report_output(tmp_path):
     assert doc["binding_exponent"] == "F3"
     assert doc["strauss"] == "inf"
     assert doc["product_limit"] == pytest.approx(4.768462058062743, rel=1e-9)
+
+
+def test_report_near_pq_one_writes_inf_product_limit(tmp_path):
+    # p q = 1.002: the product limit passes the largest float, which ended
+    # in an OverflowError traceback (exit 1)
+    out = tmp_path / "rep"
+    assert dispatch(["report", "--n", "1", "--p", "1.001", "--q", "1.001",
+                     "--out", str(out)]) == 0
+    doc = json.loads(Path(f"{out}.json").read_text())
+    assert doc["product_limit"] == "inf"
+    assert doc["lifespan_upper_bound"] == "inf"
 
 
 @pytest.mark.parametrize("p, q, exact", [

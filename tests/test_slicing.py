@@ -57,6 +57,14 @@ def test_product_limit_frozen_value():
     assert 2.0 < big < 2.01
 
 
+def test_product_limit_past_float_range_is_inf():
+    # log L ~ 2 / log(pq) passes log(max float) below pq ~ 1.00232, where
+    # exp(log L) raised OverflowError
+    assert product_limit(1.001) == math.inf
+    assert product_limit(1.00001) == math.inf
+    assert math.isfinite(product_limit(1.0024))
+
+
 def test_partial_product_increment_identity():
     for pq in (2.25, 4.0, 6.25):
         for j in range(2, 30):

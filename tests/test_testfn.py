@@ -10,7 +10,8 @@ from nakao.params import sphere_area
 from nakao.testfn import (PhiEvaluator, c2_constant, holder_ratio,
                           psi_holder_norm)
 
-from oracles import asymptotic_ratio, laplacian_residual, wave_residual
+from oracles import (asymptotic_ratio, holder_norms_per_t, laplacian_residual,
+                     wave_residual)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -208,16 +209,16 @@ def test_log_phi_refuses_non_finite_radii(n, r):
         PhiEvaluator(n).log_phi(r)
 
 
-# c2_constant(PhiEvaluator(n), p, 1.0) as computed with one linspace panel
-# layout per t (equal panels of width <= 0.5 on [0, 1 + t]); at R = 1 every
-# 1 + t of c2_constant's grid is a lattice edge, so the layouts coincide
+# c2_constant(PhiEvaluator(n), p, 1.0), summed panel by panel in log space;
+# the per-t node sum (oracles.holder_norms_per_t) gives values within
+# 2.3e-15 relative of these
 _C2_AT_R1 = {
-    (1, 1.1): 64300.99878541727, (1, 1.3): 92.94192365950275,
-    (1, 1.5): 27.459580893605487, (1, 2.0): 11.253720815694038,
-    (2, 1.1): 9243438771.396202, (2, 1.3): 15877.155552406944,
-    (2, 1.5): 1140.9627260657144, (2, 2.0): 179.45109047396934,
-    (3, 1.1): 57027019776111.14, (3, 1.3): 788812.925152737,
-    (3, 1.5): 23365.796504982747, (3, 2.0): 1832.856942477606,
+    (1, 1.1): 64300.99878541726, (1, 1.3): 92.94192365950275,
+    (1, 1.5): 27.459580893605484, (1, 2.0): 11.253720815694036,
+    (2, 1.1): 9243438771.396181, (2, 1.3): 15877.155552406937,
+    (2, 1.5): 1140.9627260657148, (2, 2.0): 179.45109047396937,
+    (3, 1.1): 57027019776111.19, (3, 1.3): 788812.9251527373,
+    (3, 1.5): 23365.79650498274, (3, 2.0): 1832.8569424776072,
 }
 
 
@@ -234,6 +235,33 @@ def test_holder_ratio_equals_per_t_norms(n, p, R):
     expo = (n - 1) * (2.0 - p / (p - 1.0)) / 2.0
     per_t = np.array([psi_holder_norm(ev, t, p, R) for t in ts])
     assert np.array_equal(holder_ratio(ev, ts, p, R), per_t / (R + ts) ** expo)
+
+
+@pytest.mark.parametrize("R", [1.0, 1.3, 0.3])
+@pytest.mark.parametrize("p", [1.1, 1.5, 2.0])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_holder_norms_match_per_t_sum(n, p, R):
+    # t = 0, 5, ..., 400 and four times off that grid: at R = 1 every R + t
+    # of the grid is a lattice edge, at 1.3 and 0.3 each ends in a partial
+    # panel, and 0.3 + 0.2 is one panel short of the first edge
+    ev = PhiEvaluator(n)
+    ts = np.concatenate((np.linspace(0.0, 400.0, 81), [0.2, 0.7, 3.3, 399.9]))
+    per_t = holder_norms_per_t(ev, ts, p, R)
+    got = testfn._holder_norms(ev, ts, p, R)
+    assert np.max(np.abs(got / per_t - 1.0)) <= 1e-12
+
+
+@pytest.mark.parametrize("p", [1.2, 1.5, 2.0])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_holder_ratio_tail_stays_below_c2(n, p):
+    # c2 takes the max over [0, 50] only.  Past t = 50 the ratio stays below
+    # it, up to rounding: at n = 3, p = 2 the exponent is 0, the ratio is the
+    # norm itself and rises toward its limit from below, and it passes c2
+    # by 4.6e-14 relative at t = 325
+    ev = PhiEvaluator(n)
+    c2 = c2_constant(ev, p, 1.0)
+    ratio = holder_ratio(ev, np.linspace(0.0, 400.0, 801), p, 1.0)
+    assert np.all(ratio <= c2 * (1.0 + 1e-12))
 
 
 @pytest.mark.parametrize("R,t", [(1.3, 0.5), (1.3, 0.7), (0.3, 0.0)])

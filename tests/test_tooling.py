@@ -9,6 +9,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import nakao
 from nakao.cli import dispatch
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -19,6 +20,8 @@ def _load(path, monkeypatch):
     monkeypatch.setattr(sys, "dont_write_bytecode", True)  # load read-only
     spec = importlib.util.spec_from_file_location(f"_{path.stem}", path)
     module = importlib.util.module_from_spec(spec)
+    # registered while the test runs: dataclasses look their module up there
+    monkeypatch.setitem(sys.modules, spec.name, module)
     spec.loader.exec_module(module)
     return module
 
@@ -68,6 +71,18 @@ def test_benchmark_ladder_smoke_is_correct():
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["correct"] is True
     assert result["failed"] == 0 and result["attempted"] > 0
+
+
+def test_benchmark_certify_seed0_matches_reference(monkeypatch):
+    # the certify workload's reference inputs, in this process: every c2 and
+    # log candidate within the benchmark's tolerance of reference.json
+    workloads = _load(ROOT / "perfbench" / "workloads.py", monkeypatch)
+    certify = workloads.WORKLOADS["certify"]
+    inp = certify.inputs(nakao, 0, False)
+    assert inp["reference"]
+    checked = certify.check(inp, certify.call(nakao, inp))
+    assert checked.attempted == 47
+    assert checked.failed == 0
 
 
 def test_lifespan_experiment_script_runs(monkeypatch, capsys):
