@@ -7,7 +7,7 @@ other the iteration state)."""
 from . import exponents, lifespan, params, pde, slicing, testfn
 from .exponents import (ExponentReport, Verdict, critical_values,
                         diagonal_blowup_bound, fujita_exponent, p0_exponent,
-                        region_scan, strauss_exponent)
+                        region_axes, region_scan, strauss_exponent)
 from .lifespan import LifespanFit, fit_powerlaw, sweep
 from .params import ProblemParams, admissible_cap, ball_volume, sphere_area
 from .pde import FunctionalTrace, InitialDataSpec, Numerics, RadialField, run
@@ -23,7 +23,8 @@ __version__ = "0.1.0"
 __all__ = [
     "exponents", "lifespan", "params", "pde", "slicing", "testfn",
     "ExponentReport", "Verdict", "critical_values", "diagonal_blowup_bound",
-    "fujita_exponent", "p0_exponent", "region_scan", "strauss_exponent",
+    "fujita_exponent", "p0_exponent", "region_axes", "region_scan",
+    "strauss_exponent",
     "LifespanFit", "fit_powerlaw", "sweep",
     "ProblemParams", "admissible_cap", "ball_volume", "sphere_area",
     "FunctionalTrace", "InitialDataSpec", "Numerics", "RadialField", "run",

@@ -17,10 +17,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .exponents import (Verdict, check_region, critical_curve_q,
-                        critical_values, diagonal_blowup_bound,
-                        fujita_exponent, p0_exponent, region_scan, scan_block,
-                        strauss_exponent)
+from .exponents import (Verdict, critical_curve_q, critical_values,
+                        diagonal_blowup_bound, fujita_exponent, p0_exponent,
+                        region_axes, region_scan, scan_block, strauss_exponent)
 from .lifespan import InconclusiveSweep, sweep
 from .output import check_room, column_texts, write_csv, write_json
 from .params import ProblemParams, admissible_cap
@@ -72,16 +71,20 @@ _SCHEMAS: dict[str, dict] = {
 }
 
 
+_BOOLS = {"true": True, "yes": True, "1": True,
+          "false": False, "no": False, "0": False}
+
+
 def _coerce(key: str, kind, value):
-    """value as the schema's kind.  Only bool keys take JSON booleans, and
+    """value as the schema's kind.  Bool keys take JSON booleans or the
+    strings of _BOOLS (any case) only, and no other key takes a boolean;
     int keys take integral numbers only (2, 2.0 and "2", not 1.9 or "2.0")."""
     try:
         if kind is bool:
-            if isinstance(value, bool):
-                return value
-            if isinstance(value, str):
-                return value.lower() in ("1", "true", "yes")
-            return bool(value)
+            flag = _BOOLS.get(value.lower()) if isinstance(value, str) else value
+            if not isinstance(flag, bool):
+                raise TypeError("not a boolean")
+            return flag
         if isinstance(value, bool):
             raise TypeError("a boolean for a non-boolean key")
         if kind is list:
@@ -153,13 +156,12 @@ def cmd_region(cfg: dict) -> int:
         if math.isnan(cfg[f"{x}_min"]):
             cfg[f"{x}_min"] = 1.0 + (cfg[f"{x}_max"] - 1.0) / res
     q_min, q_max = cfg["q_min"], cfg["q_max"]
-    p_range, q_range = (cfg["p_min"], cfg["p_max"]), (q_min, q_max)
-    check_region(n, p_range, q_range, res)
+    p_axis, q_axis = region_axes(n, (cfg["p_min"], cfg["p_max"]),
+                                 (q_min, q_max), res)
     csv = f"{cfg['out']}.csv"
     check_room(csv, res * res, len(_REGION_HEADER))
     # before the CSV is opened, so that a grid too large for memory leaves none
-    scan = region_scan(n, p_range, q_range, res) if cfg["svg"] else None
-    p_axis, q_axis = (np.linspace(*r, res) for r in (p_range, q_range))
+    codes = region_scan(n, p_axis, q_axis) if cfg["svg"] else None
     # the grid repeats res p values, res q values, 4 verdicts and 3 binding
     # indices: each is formatted once, here, before write_csv forks
     p_text, q_text, verdicts, bindings = (
@@ -167,25 +169,24 @@ def cmd_region(cfg: dict) -> int:
         for v in (p_axis, q_axis, [x.value for x in Verdict], np.arange(4)))
 
     def texts(lo, hi):   # each row block is classified where it is written
-        rows, cols, (aN, F, codes, binding) = scan_block(n, p_axis, q_axis,
-                                                         lo, hi)
+        rows, cols, (aN, F, verdict, binding) = scan_block(n, p_axis, q_axis,
+                                                           lo, hi)
         return [p_text[rows].tolist(), q_text[cols].tolist(),
-                column_texts(aN), column_texts(F), verdicts[codes].tolist(),
+                column_texts(aN), column_texts(F), verdicts[verdict].tolist(),
                 bindings[binding].tolist()]
 
     write_csv(csv, cfg, _REGION_HEADER, texts, res * res)
-    if scan is not None:
-        colors = np.array([c for _, c in _REGION_LABELS],
-                          dtype=object)[scan.verdict_code]
+    if codes is not None:
+        colors = np.array([c for _, c in _REGION_LABELS], dtype=object)[codes]
         curve_p, curve_q = [], []
-        for pv in scan.p_axis:
+        for pv in p_axis:
             qc = critical_curve_q(n, float(pv), q_max)
             if qc is not None and qc >= q_min:
                 curve_p.append(float(pv))
                 curve_q.append(qc)
         curves = [(curve_p, curve_q, "#1a237e")] if len(curve_p) > 1 else None
-        scatter_svg(f"{cfg['out']}.svg", np.repeat(scan.p_axis, res),
-                    np.tile(scan.q_axis, res), colors, "p", "q",
+        scatter_svg(f"{cfg['out']}.svg", np.repeat(p_axis, res),
+                    np.tile(q_axis, res), colors, "p", "q",
                     f"blow-up classification, n={n}", legend=_REGION_LABELS,
                     point_size=max(2.0, 360.0 / res), config=cfg,
                     curves=curves)

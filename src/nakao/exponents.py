@@ -239,25 +239,6 @@ _VERDICTS = tuple(Verdict)   # verdict by code
 _SCAN_BLOCK = 8_192          # cells per scan_block call; bounds temporaries
 
 
-@dataclass(frozen=True)
-class RegionScan:
-    """Flattened classification grid over a p-q box for one dimension; the
-    region CSV does not read it, but classifies its own row blocks.
-
-    The grid is kept as its two axes, each of length res: cell i lies at
-    (p_axis[i // res], q_axis[i % res]), so p varies slowest.  The four
-    result arrays hold one entry per cell in that order.
-    """
-
-    n: int
-    p_axis: np.ndarray
-    q_axis: np.ndarray
-    alpha_n: np.ndarray
-    F: np.ndarray
-    verdict_code: np.ndarray   # int8 codes, in the order of Verdict
-    binding: np.ndarray        # int8, 1-based index of the maximal component
-
-
 def scan_arrays(n: int, P: np.ndarray, Q: np.ndarray):
     """Vectorized classification; returns (alpha_n, F, verdict codes, binding),
     the codes and binding as int8.
@@ -294,9 +275,11 @@ def critical_curve_q(n: int, p: float, q_hi: float) -> float | None:
     return _bisect_root(f, q_lo, q_hi)
 
 
-def check_region(n: int, p_range: tuple[float, float],
-                 q_range: tuple[float, float], resolution: int) -> None:
-    """Refuse (ValueError) a region scan without a dimension, with fewer
+def region_axes(n: int, p_range: tuple[float, float],
+                q_range: tuple[float, float],
+                resolution: int) -> tuple[np.ndarray, np.ndarray]:
+    """(p_axis, q_axis): resolution points over each closed range, both ends
+    included.  Refuses (ValueError) a box without a dimension, with fewer
     than 2 points per axis, or with an axis outside 1 < lo < hi."""
     if n < 1:
         raise ValueError(f"dimension must be >= 1, got {n}")
@@ -305,6 +288,7 @@ def check_region(n: int, p_range: tuple[float, float],
     for lo, hi in (p_range, q_range):
         if not (1.0 < lo < hi):
             raise ValueError(f"range must satisfy 1 < lo < hi, got ({lo}, {hi})")
+    return tuple(np.linspace(*r, resolution) for r in (p_range, q_range))
 
 
 def scan_block(n: int, p_axis: np.ndarray, q_axis: np.ndarray, lo: int,
@@ -315,23 +299,15 @@ def scan_block(n: int, p_axis: np.ndarray, q_axis: np.ndarray, lo: int,
     return rows, cols, scan_arrays(n, p_axis[rows], q_axis[cols])
 
 
-def region_scan(n: int, p_range: tuple[float, float], q_range: tuple[float, float],
-                resolution: int) -> RegionScan:
-    """Classify a resolution x resolution grid over the closed box.
-
-    Both range endpoints are included; the lower ends must exceed 1.
-    """
-    check_region(n, p_range, q_range, resolution)
-    # the results are allocated first, so that a grid too large for memory
-    # is refused (MemoryError) before anything is classified
-    cells = resolution * resolution
-    aN, F = np.empty((2, cells))
-    codes, binding = np.empty((2, cells), dtype=np.int8)
-    p_axis = np.linspace(p_range[0], p_range[1], resolution)
-    q_axis = np.linspace(q_range[0], q_range[1], resolution)
+def region_scan(n: int, p_axis: np.ndarray, q_axis: np.ndarray) -> np.ndarray:
+    """int8 verdict codes (in the order of Verdict) of every cell of the
+    grid over the two axes: cell i lies at (p_axis[i // res],
+    q_axis[i % res]), res = len(q_axis), so p varies slowest."""
+    # the codes are allocated first, so that a grid too large for memory is
+    # refused (MemoryError) before anything is classified
+    cells = len(p_axis) * len(q_axis)
+    codes = np.empty(cells, dtype=np.int8)
     for lo in range(0, cells, _SCAN_BLOCK):
         hi = min(lo + _SCAN_BLOCK, cells)
-        _, _, (aN[lo:hi], F[lo:hi], codes[lo:hi], binding[lo:hi]) = \
-            scan_block(n, p_axis, q_axis, lo, hi)
-    return RegionScan(n=n, p_axis=p_axis, q_axis=q_axis, alpha_n=aN, F=F,
-                      verdict_code=codes, binding=binding)
+        _, _, (_, _, codes[lo:hi], _) = scan_block(n, p_axis, q_axis, lo, hi)
+    return codes

@@ -60,9 +60,13 @@ def column_texts(col):
     return map(_cell, col)
 
 
+def config_json(config: dict) -> str:
+    """The resolved config as sorted, compact JSON, as every output embeds it."""
+    return json.dumps(_native(config), sort_keys=True, separators=(",", ":"))
+
+
 def config_line(config: dict) -> str:
-    return "# config: " + json.dumps(_native(config), sort_keys=True,
-                                     separators=(",", ":"))
+    return "# config: " + config_json(config)
 
 
 def _usable_cpus() -> int:

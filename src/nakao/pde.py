@@ -111,11 +111,14 @@ class RadialField:
     boolean mask on axis 1, a[:, keep], returns Fortran order; _march
     retires columns with a.compress(keep, axis=1), which returns C order).
 
-    span = (lo, hi), when set, says that nodes lo..hi-1 hold every nonzero of
-    u, u_prev, v and v_prev (in any column).  step, functionals and
-    support_radius then work on those nodes only, and step keeps the span
-    exact.  None (the default) means the whole grid.  functionals and
-    support_radius take 1-D levels only.
+    span = (lo, hi) says that nodes lo..hi-1 hold every nonzero of u,
+    u_prev, v and v_prev (in any column): the whole grid at construction,
+    narrowed to the exact nonzero span by _march, and trimmed to it by
+    every step.  step, functionals and support_radius work on those nodes
+    only, so a caller that sets the levels afterwards must leave the span
+    covering their nonzeros, and the sources step is given must vanish
+    outside the span widened by one node.  functionals and support_radius
+    take 1-D levels only.
     """
 
     n: int
@@ -128,21 +131,16 @@ class RadialField:
     v: np.ndarray
     v_prev: np.ndarray
     k: int = 0           # completed steps; current time = k * dt
-    span: tuple[int, int] | None = None
+    span: tuple[int, int] = field(init=False)
     work: _Work = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
+        self.span = (0, self.x.size)
         self.work = _Work(self.n, self.h, self.dt, self.x, self.u.shape)
 
     @property
     def t(self) -> float:
         return self.k * self.dt
-
-    @property
-    def window(self) -> tuple[int, int]:
-        """Nodes lo..hi-1 that the per-step work covers: the span, or the
-        whole grid."""
-        return self.span if self.span is not None else (0, self.x.size)
 
 
 class _Work:
@@ -380,17 +378,14 @@ def step(field: RadialField, params: ProblemParams, src_u: np.ndarray,
     u_next and v_next are written into the u_prev and v_prev arrays, which
     then become field.u and field.v.
 
-    With field.span set, only the span widened by one node per side is
-    computed (the stencil is 3-point), src_u / src_v must vanish outside the
-    span, and the span is then trimmed of edge nodes where all four levels
-    are zero: ahead of the light cone the scheme's dust underflows to zero,
-    so the span stays close to the cone.
+    Only field.span widened by one node per side is computed (the stencil
+    is 3-point), so src_u / src_v must vanish outside it; the span is then
+    trimmed of edge nodes where all four levels are zero: ahead of the light
+    cone the scheme's dust underflows to zero, so the span stays close to
+    the cone.
     """
     size = field.x.size
-    if field.span is None:
-        a, b = 0, size
-    else:
-        a, b = max(field.span[0] - 1, 0), min(field.span[1] + 1, size)
+    a, b = max(field.span[0] - 1, 0), min(field.span[1] + 1, size)
     # rows a..b1-1: the Dirichlet row stays zero
     b1 = min(b, size - 1)
     wk = field.work
@@ -412,8 +407,7 @@ def step(field: RadialField, params: ProblemParams, src_u: np.ndarray,
     field.u_prev, field.u = field.u, field.u_prev
     field.v_prev, field.v = field.v, field.v_prev
     field.k += 1
-    if field.span is not None:
-        field.span = _trim(field, a, b)
+    field.span = _trim(field, a, b)
 
 
 def _trim(field: RadialField, a: int, b: int) -> tuple[int, int]:
@@ -456,14 +450,14 @@ def _nonzero_span(field: RadialField) -> tuple[int, int]:
 
 def functionals(field: RadialField, w_phi: np.ndarray, log_phi: np.ndarray):
     """(U, V, V1) = (integral u, integral v, integral v * e^{-t} Phi), summed
-    over field.window.
+    over field.span.
 
     w_phi = field.w * Phi(field.x) on the first nodes of the grid: all of
     them, or those below the radius where V1 forms e^{-t} Phi in log space
     instead, as exp(log_phi - t) with log_phi = log Phi(field.x) (read on
-    window nodes past w_phi only).  Phi overflows past r ~ 709, and
+    span nodes past w_phi only).  Phi overflows past r ~ 709, and
     w * v * Phi sooner, while the log form stays finite (see run)."""
-    lo, hi = field.window
+    lo, hi = field.span
     w, v = field.w, field.v
     U = float(w[lo:hi] @ field.u[lo:hi])
     V = float(w[lo:hi] @ v[lo:hi])
@@ -487,10 +481,10 @@ def support_radius(field: RadialField, mags=None) -> float:
     to t = 5 (test_support_containment_within_two_h), but 2h is not a bound
     in general: 3.1h was measured at n = 3, h = 0.01, t = 40 (the benchmark's
     radial-n3 workload).  A transport or stencil bug would still blast far
-    through it.  mags = (|u|, |v|, max|u|, max|v|) on field.window, when the
+    through it.  mags = (|u|, |v|, max|u|, max|v|) on field.span, when the
     caller has them already (_march does).
     """
-    lo, hi = field.window
+    lo, hi = field.span
     if mags is None:
         abs_u, abs_v = np.abs(field.u[lo:hi]), np.abs(field.v[lo:hi])
         mags = (abs_u, abs_v, _max(abs_u), _max(abs_v))

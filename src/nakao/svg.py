@@ -2,8 +2,9 @@
 from __future__ import annotations
 
 import html
-import json
 from pathlib import Path
+
+from .output import config_json
 
 WIDTH, HEIGHT = 640, 520
 MARGIN = 56
@@ -45,9 +46,7 @@ def scatter_svg(path, xs, ys, colors, x_label: str, y_label: str,
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" '
         f'height="{HEIGHT}" viewBox="0 0 {WIDTH} {HEIGHT}">',
-        "<desc>config: " + html.escape(json.dumps(
-            config, sort_keys=True, separators=(",", ":"), default=str))
-        + "</desc>",
+        "<desc>config: " + html.escape(config_json(config)) + "</desc>",
         f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
         f'<text x="{WIDTH / 2:.1f}" y="16" text-anchor="middle" '
         f'font-size="14">{title}</text>',

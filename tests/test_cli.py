@@ -1,13 +1,14 @@
 import json
 import math
 import os
+import re
 import warnings
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from nakao import cli, lifespan
+from nakao import cli, lifespan, output
 from nakao.cli import dispatch
 
 
@@ -41,6 +42,29 @@ def test_non_integral_or_boolean_number_exits_2(tmp_path, key, value):
     out = tmp_path / "rep"
     assert dispatch(["report", "--config", str(cfg), "--out", str(out)]) == 2
     assert not Path(f"{out}.json").exists()
+
+
+@pytest.mark.parametrize("value", ["ture", "maybe", "", None, 0.5, 2, 1, 0])
+def test_non_boolean_value_for_bool_key_exits_2(tmp_path, capsys, value):
+    # bool("ture") and bool(0.5) would read junk as a choice
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"n": 2, "grid": 3, "svg": value}))
+    out = tmp_path / "reg"
+    assert dispatch(["region", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: bad value for 'svg': {value!r}"]
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
+@pytest.mark.parametrize("value,drawn", [
+    (True, True), (False, False), ("TRUE", True), ("Yes", True), ("1", True),
+    ("false", False), ("NO", False), ("0", False)])
+def test_boolean_value_for_bool_key_accepted(tmp_path, value, drawn):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"n": 2, "grid": 3, "svg": value}))
+    out = tmp_path / "reg"
+    assert dispatch(["region", "--config", str(cfg), "--out", str(out)]) == 0
+    assert Path(f"{out}.svg").exists() is drawn
 
 
 @pytest.mark.parametrize("value", [2, 2.0, "2"])
@@ -145,6 +169,26 @@ def test_region_csv_and_svg(tmp_path):
     assert len(rows) == 36
     svg = Path(f"{out}.svg").read_text()
     assert svg.startswith("<svg") and "blow_up" in svg
+
+
+def test_region_svg_draws_each_cell_in_its_csv_verdict(tmp_path,
+                                                       monkeypatch):
+    # 16,900 cells in three 8,192-row blocks, written on two CPUs: the CSV
+    # rows come from the forked writer, the drawing from region_scan
+    monkeypatch.setattr(output, "_usable_cpus", lambda: 2)
+    assert len(output._parts(130 * 130)) == 2
+    out = tmp_path / "reg"
+    assert dispatch(["region", "--n", "3", "--grid", "130", "--svg",
+                     "--out", str(out)]) == 0
+    _, _, rows = read_csv(f"{out}.csv")
+    color = dict(cli._REGION_LABELS)
+    want = [color[row[4]] for row in rows]
+    # one square per cell, in row order; the point size 360/130 prints 2.8
+    drawn = re.findall(r'<rect x="[^"]+" y="[^"]+" width="2.8" '
+                       r'height="2.8" fill="([^"]+)"/>',
+                       Path(f"{out}.svg").read_text())
+    assert len(want) == 16_900 and len(set(want)) == 3
+    assert drawn == want
 
 
 def test_region_flag_overrides_config(tmp_path):

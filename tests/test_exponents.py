@@ -9,10 +9,11 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from nakao.cli import dispatch
-from nakao.exponents import (Verdict, alpha0, alpha1, alpha_n, alpha_nw,
-                             comp_shifted, comp_wave, critical_values,
-                             diagonal_blowup_bound, f2, f3, fujita_exponent,
-                             p0_exponent, region_scan, scan_arrays,
+from nakao.exponents import (_SCAN_BLOCK, Verdict, alpha0, alpha1, alpha_n,
+                             alpha_nw, comp_shifted, comp_wave,
+                             critical_values, diagonal_blowup_bound, f2, f3,
+                             fujita_exponent, p0_exponent, region_axes,
+                             region_scan, scan_arrays, scan_block,
                              strauss_exponent)
 from nakao.params import ProblemParams, admissible_cap
 
@@ -122,21 +123,24 @@ def test_diagonal_blowup_bound():
 
 
 def test_region_scan_shapes_and_verdicts():
-    scan = region_scan(4, (1.01, 2.0), (1.01, 2.0), 3)
-    assert scan.p_axis.size == scan.q_axis.size == 3
-    for cells in (scan.alpha_n, scan.F, scan.verdict_code, scan.binding):
-        assert cells.size == 9
+    p_axis, q_axis = region_axes(4, (1.01, 2.0), (1.01, 2.0), 3)
+    assert p_axis.size == q_axis.size == 3
+    assert region_scan(4, p_axis, q_axis).size == 9
     # the shifted component is never strictly maximal for n >= 4 boxes
-    assert not np.any(scan.binding == 3)
-    scan1 = region_scan(1, (1.1, 5.0), (1.1, 5.0), 5)
-    assert np.all(scan1.verdict_code == list(Verdict).index(Verdict.BLOW_UP))
-    corners = region_scan(2, (1.5, 2.5), (1.5, 2.5), 2)
-    assert corners.p_axis.tolist() == corners.q_axis.tolist() == [1.5, 2.5]
-    assert corners.verdict_code.size == 4
-    with pytest.raises(ValueError):
-        region_scan(2, (1.5, 2.5), (1.5, 2.5), 1)
-    with pytest.raises(ValueError):
-        region_scan(2, (0.5, 2.5), (1.5, 2.5), 3)
+    _, _, (_, _, _, binding) = scan_block(4, p_axis, q_axis, 0, 9)
+    assert not np.any(binding == 3)
+    codes = region_scan(1, *region_axes(1, (1.1, 5.0), (1.1, 5.0), 5))
+    assert np.all(codes == list(Verdict).index(Verdict.BLOW_UP))
+    corners = region_axes(2, (1.5, 2.5), (1.5, 2.5), 2)
+    assert corners[0].tolist() == corners[1].tolist() == [1.5, 2.5]
+    assert region_scan(2, *corners).size == 4
+    # no dimension, one point per axis, lo <= 1 and lo >= hi on either axis
+    for n, p_range, q_range, res in [
+            (0, (1.5, 2.5), (1.5, 2.5), 3), (2, (1.5, 2.5), (1.5, 2.5), 1),
+            (2, (1.0, 2.5), (1.5, 2.5), 3), (2, (1.5, 2.5), (0.5, 2.5), 3),
+            (2, (2.5, 2.5), (1.5, 2.5), 3), (2, (1.5, 2.5), (2.6, 2.5), 3)]:
+        with pytest.raises(ValueError):
+            region_axes(n, p_range, q_range, res)
 
 
 def test_region_rows_format(tmp_path):
@@ -224,19 +228,16 @@ def test_verdict_matches_condition(pair, n):
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_region_scan_blocks_match_one_scan(n, res):
     box = (1.005, 6.0)
-    scan = region_scan(n, box, box, res)
+    p_axis, q_axis = region_axes(n, box, box, res)
     axis = np.linspace(*box, res)
-    assert scan.p_axis.tobytes() == scan.q_axis.tobytes() == axis.tobytes()
+    assert p_axis.tobytes() == q_axis.tobytes() == axis.tobytes()
     P, Q = (a.ravel() for a in np.meshgrid(axis, axis, indexing="ij"))
     # cell i lies at (p_axis[i // res], q_axis[i % res])
-    assert np.repeat(scan.p_axis, res).tobytes() == P.tobytes()
-    assert np.tile(scan.q_axis, res).tobytes() == Q.tobytes()
-    got = (scan.alpha_n, scan.F, scan.verdict_code, scan.binding)
-    want = scan_arrays(n, P, Q)
-    assert want[2].dtype == want[3].dtype == np.int8
-    for have, ref in zip(got, want):
-        assert have.dtype == ref.dtype
-        assert have.tobytes() == ref.tobytes()
+    assert np.repeat(p_axis, res).tobytes() == P.tobytes()
+    assert np.tile(q_axis, res).tobytes() == Q.tobytes()
+    codes, want = region_scan(n, p_axis, q_axis), scan_arrays(n, P, Q)[2]
+    assert codes.dtype == want.dtype == np.int8
+    assert codes.tobytes() == want.tobytes()
 
 
 def _traced_peak(call):
@@ -251,12 +252,11 @@ def _traced_peak(call):
 
 
 def test_region_scan_peak_memory():
-    # the peak is the returned arrays plus one block's temporaries
-    scan, peak = _traced_peak(
-        lambda: region_scan(2, (1.005, 6.0), (1.005, 6.0), 600))
-    result = sum(a.nbytes for a in (scan.p_axis, scan.q_axis, scan.alpha_n,
-                                    scan.F, scan.verdict_code, scan.binding))
-    assert peak <= 1.3 * result
+    # the peak is the codes plus one block's temporaries: ~19.4 float64
+    # arrays of _SCAN_BLOCK cells, bounded at 24
+    p_axis, q_axis = region_axes(2, (1.005, 6.0), (1.005, 6.0), 600)
+    codes, peak = _traced_peak(lambda: region_scan(2, p_axis, q_axis))
+    assert peak <= codes.nbytes + 24 * 8 * _SCAN_BLOCK
 
 
 def test_region_command_peak_memory(tmp_path):

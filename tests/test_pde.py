@@ -635,7 +635,8 @@ def test_whole_grid_step_matches_reference(n, coupling):
 def test_span_stays_exact_and_sources_vanish_outside(n):
     params = ProblemParams(n, 2.0, 2.0, epsilon=0.3)
     fld, _ = make_initial_data(params, SPEC, Numerics(h=0.05, t_max=8.0))
-    fld.span = _nonzero_span(fld)
+    # the constructor's span, the whole grid: the first step trims it
+    assert fld.span == (0, fld.x.size) != _nonzero_span(fld)
     wk = fld.work
     for _ in range(300):
         lo, hi = fld.span

@@ -85,12 +85,6 @@ def test_benchmark_certify_seed0_matches_reference(monkeypatch):
     assert checked.failed == 0
 
 
-def test_lifespan_experiment_script_runs(monkeypatch, capsys):
-    script = _load(ROOT / "scripts" / "lifespan_experiment.py", monkeypatch)
-    assert script.main(["--h", "0.05"]) == 0
-    assert "consistent=True" in capsys.readouterr().out
-
-
 def test_region_figures_script_runs(monkeypatch, tmp_path):
     script = _load(ROOT / "scripts" / "region_figures.py", monkeypatch)
     assert script.main(["--grid", "5", "--dims", "1,3",
