@@ -2,7 +2,7 @@
 """Reproduce the p-q plane blow-up classification figures for n = 1..4.
 
 Writes region_n{n}.csv / .svg into --out-dir (default out/).  The colored
-scatter separates the iteration-method blow-up region, the test-function-only
+grid separates the iteration-method blow-up region, the test-function-only
 region, and the unclassified remainder; for n >= 3 the box is clipped at the
 admissibility cap n/(n-2).
 """

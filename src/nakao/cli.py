@@ -27,7 +27,7 @@ from .pde import InitialDataSpec, Numerics, run
 from .slicing import (InitMode, IterationConfig, closed_form_deviation,
                       iterate, iteration_bounds, lifespan_upper_bound,
                       log_lower_bounds, product_limit, thresholds)
-from .svg import scatter_svg
+from .svg import RECT_BYTES, region_svg
 from .testfn import PhiEvaluator
 
 
@@ -140,8 +140,6 @@ def resolve_config(command: str, file_path: str | None,
 # subcommands
 
 _REGION_HEADER = ["p", "q", "alphaN", "F", "verdict", "binding_component"]
-_REGION_LABELS = [("blow_up", "#c62828"), ("wakasugi_only", "#ef9a00"),
-                  ("none_known", "#9e9e9e"), ("inadmissible", "#e0e0e0")]
 
 
 def cmd_region(cfg: dict) -> int:
@@ -158,8 +156,10 @@ def cmd_region(cfg: dict) -> int:
     q_min, q_max = cfg["q_min"], cfg["q_max"]
     p_axis, q_axis = region_axes(n, (cfg["p_min"], cfg["p_max"]),
                                  (q_min, q_max), res)
-    csv = f"{cfg['out']}.csv"
-    check_room(csv, res * res, len(_REGION_HEADER))
+    # each CSV cell writes at least its ',' or newline, each drawn cell the
+    # fixed text of its <rect/> line
+    check_room(cfg["out"], res * res * (len(_REGION_HEADER)
+                                        + (RECT_BYTES if cfg["svg"] else 0)))
     # before the CSV is opened, so that a grid too large for memory leaves none
     codes = region_scan(n, p_axis, q_axis) if cfg["svg"] else None
     # the grid repeats res p values, res q values, 4 verdicts and 3 binding
@@ -175,21 +175,12 @@ def cmd_region(cfg: dict) -> int:
                 column_texts(aN), column_texts(F), verdicts[verdict].tolist(),
                 bindings[binding].tolist()]
 
-    write_csv(csv, cfg, _REGION_HEADER, texts, res * res)
+    write_csv(f"{cfg['out']}.csv", cfg, _REGION_HEADER, texts, res * res)
     if codes is not None:
-        colors = np.array([c for _, c in _REGION_LABELS], dtype=object)[codes]
-        curve_p, curve_q = [], []
-        for pv in p_axis:
-            qc = critical_curve_q(n, float(pv), q_max)
-            if qc is not None and qc >= q_min:
-                curve_p.append(float(pv))
-                curve_q.append(qc)
-        curves = [(curve_p, curve_q, "#1a237e")] if len(curve_p) > 1 else None
-        scatter_svg(f"{cfg['out']}.svg", np.repeat(p_axis, res),
-                    np.tile(q_axis, res), colors, "p", "q",
-                    f"blow-up classification, n={n}", legend=_REGION_LABELS,
-                    point_size=max(2.0, 360.0 / res), config=cfg,
-                    curves=curves)
+        curve = [(pv, qc) for pv in p_axis.tolist()
+                 if (qc := critical_curve_q(n, pv, q_max)) is not None
+                 and qc >= q_min]
+        region_svg(f"{cfg['out']}.svg", n, p_axis, q_axis, codes, curve, cfg)
     return 0
 
 

@@ -261,18 +261,18 @@ def scan_arrays(n: int, P: np.ndarray, Q: np.ndarray):
 
 def critical_curve_q(n: int, p: float, q_hi: float) -> float | None:
     """q with alpha_n(p, q) = (n-1)/2, or None if no crossing in
-    (1 + 1e-9, q_hi].
+    (1 + 1e-9, q_hi]; used to draw the blow-up boundary over a region scan.
 
-    alpha_n is strictly decreasing in q, so the crossing is unique; used to
-    draw the blow-up boundary over a region scan.  n = 1 never crosses (the
-    whole quadrant blows up).
+    The three components decrease in q, so alpha_n crosses h = (n-1)/2 once,
+    at the largest of the components' own linear crossings (inf where one
+    stays above h).  n = 1 never crosses (the whole quadrant blows up).
     """
-    half = (n - 1.0) / 2.0
-    q_lo = 1.0 + 1e-9
-    f = lambda q: alpha_n(p, q) - half
-    if f(q_hi) > 0.0 or f(q_lo) < 0.0:
-        return None
-    return _bisect_root(f, q_lo, q_hi)
+    h = (n - 1.0) / 2.0
+    damped = (1.0 + h) / (h * p - 0.5) if h * p > 0.5 else math.inf
+    wave = (2.0 + 1.0 / p + h) / (h * p) if h > 0.0 else math.inf
+    shifted = (1.0 + (0.5 + p) / (h + 0.5)) / p
+    q = max(damped, wave, shifted)
+    return q if 1.0 + 1e-9 <= q <= q_hi else None
 
 
 def region_axes(n: int, p_range: tuple[float, float],

@@ -153,14 +153,13 @@ def _write_parts(fh, texts, parts) -> None:
             tmp.close()
 
 
-def check_room(path, n_rows: int, n_columns: int) -> None:
-    """Refuse (ValueError) a CSV of n_rows x n_columns cells that cannot fit
-    in the space left on path's filesystem: each cell writes at least its
-    ',' or newline."""
-    st = os.statvfs(os.path.dirname(os.path.abspath(path)))
-    need, free = n_rows * n_columns, st.f_bavail * st.f_frsize
+def check_room(out, need: int) -> None:
+    """Refuse (ValueError) output of at least `need` bytes, to files named
+    out.*, that cannot fit in the space left on out's filesystem."""
+    st = os.statvfs(os.path.dirname(os.path.abspath(out)))
+    free = st.f_bavail * st.f_frsize
     if need > free:
-        raise ValueError(f"{path} needs at least {need} bytes; {free} free")
+        raise ValueError(f"{out}.* need at least {need} bytes; {free} free")
 
 
 def write_csv(path, config: dict, header: list[str], columns,

@@ -469,7 +469,7 @@ def functionals(field: RadialField, w_phi: np.ndarray, log_phi: np.ndarray):
     return U, V, V1
 
 
-def support_radius(field: RadialField, mags=None) -> float:
+def support_radius(field: RadialField, mags) -> float:
     """Largest radius carrying amplitude above the accumulated-truncation floor:
     the radius of the last such node, since the grid radii increase.
 
@@ -481,13 +481,10 @@ def support_radius(field: RadialField, mags=None) -> float:
     to t = 5 (test_support_containment_within_two_h), but 2h is not a bound
     in general: 3.1h was measured at n = 3, h = 0.01, t = 40 (the benchmark's
     radial-n3 workload).  A transport or stencil bug would still blast far
-    through it.  mags = (|u|, |v|, max|u|, max|v|) on field.span, when the
-    caller has them already (_march does).
+    through it.  mags = (|u|, |v|, max|u|, max|v|) on field.span, which the
+    caller (_march) has already.
     """
     lo, hi = field.span
-    if mags is None:
-        abs_u, abs_v = np.abs(field.u[lo:hi]), np.abs(field.v[lo:hi])
-        mags = (abs_u, abs_v, _max(abs_u), _max(abs_v))
     abs_u, abs_v, m_u, m_v = mags
     floor = field.h * field.h * (1.0 + field.t)
     mask_u, mask_v = field.work.mask_u[lo:hi], field.work.mask_v[lo:hi]
@@ -611,7 +608,7 @@ def run(params: ProblemParams, spec: InitialDataSpec,
                        float(w[lo:hi] @ wk.src_u[lo:hi]),
                        float(w[lo:hi] @ wk.src_v[lo:hi])))
         reach = params.R + t
-        excess = max(excess, support_radius(fld, mags=mags) - reach)
+        excess = max(excess, support_radius(fld, mags) - reach)
 
     (t_blowup,) = _march(fld, params, numerics, observe)
     times, U, V, V1, max_u, max_v, src_u, src_v = (

@@ -332,15 +332,14 @@ def thresholds(config: IterationConfig) -> tuple[int, int]:
 
 
 def log_lower_bounds(j: int, config: IterationConfig,
-                     bounds: IterationBounds | None = None) -> tuple[float, float]:
-    """Certified right-hand sides ((pq)^{(j-1)/2} G_u, (pq)^{(j-1)/2} G_v).
+                     bounds: IterationBounds) -> tuple[float, float]:
+    """Certified right-hand sides ((pq)^{(j-1)/2} G_u, (pq)^{(j-1)/2} G_v),
+    bounds = iteration_bounds(config).
 
     They bound log D_j resp. log Q_j from below for odd j >= j0 resp. j1.
     """
     if j < 1 or j % 2 == 0:
         raise ValueError(f"the bounds cover odd j only, got {j}")
-    if bounds is None:
-        bounds = iteration_bounds(config)
     g = config.params.pq ** ((j - 1) / 2.0)
     return g * bounds.growth_u, g * bounds.growth_v
 

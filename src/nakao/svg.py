@@ -1,27 +1,20 @@
-"""Dependency-free SVG scatter/curve rendering for the p-q plane figures."""
+"""Dependency-free SVG drawing of a p-q region grid and its critical curve."""
 from __future__ import annotations
 
 import html
-from pathlib import Path
+import os
 
+import numpy as np
+
+from .exponents import Verdict
 from .output import config_json
 
 WIDTH, HEIGHT = 640, 520
 MARGIN = 56
 PLOT_W = WIDTH - 2 * MARGIN
 PLOT_H = HEIGHT - 2 * MARGIN - 20
-
-
-def _mapper(lo: float, hi: float, size: float, offset: float, flip: bool):
-    span = hi - lo if hi > lo else 1.0
-
-    def to_px(v: float) -> float:
-        frac = (v - lo) / span
-        if flip:
-            frac = 1.0 - frac
-        return offset + frac * size
-
-    return to_px
+FILLS = ("#c62828", "#ef9a00", "#9e9e9e", "#e0e0e0")   # by verdict code
+RECT_BYTES = 45   # a drawn cell's <rect/> line without its numbers and fill
 
 
 def _ticks(lo: float, hi: float):
@@ -29,38 +22,40 @@ def _ticks(lo: float, hi: float):
     return [lo + i * step for i in range(5)]
 
 
-def scatter_svg(path, xs, ys, colors, x_label: str, y_label: str,
-                title: str, legend: list[tuple[str, str]], point_size: float,
-                config: dict,
-                curves: list[tuple[list, list, str]] | None = None) -> None:
-    """Colored point cloud with axes; colors are per-point CSS strings and
-    legend the (label, color) pairs.  curves are (xs, ys, color) polylines
-    drawn over the points.  The resolved config is embedded as the <desc>
-    element."""
-    xs = list(map(float, xs))
-    ys = list(map(float, ys))
-    x_lo, x_hi = min(xs), max(xs)
-    y_lo, y_hi = min(ys), max(ys)
-    px = _mapper(x_lo, x_hi, PLOT_W, MARGIN, False)
-    py = _mapper(y_lo, y_hi, PLOT_H, MARGIN + 20, True)
-    parts = [
+def region_svg(path, n: int, p_axis, q_axis, codes, curve,
+               config: dict) -> None:
+    """One square per cell of the grid over the two axes, colored by its
+    verdict code (FILLS), with the critical curve's (p, q) points drawn
+    over it as one polyline and the resolved config as the <desc> element.
+    Cell i lies at (p_axis[i // res], q_axis[i % res]) with codes[i] its
+    code, as region_scan returns them.  The file is written one p column at
+    a time, and removed if writing fails."""
+    res = len(q_axis)
+    size = max(2.0, 360.0 / res)
+    x_lo, x_hi = float(p_axis.min()), float(p_axis.max())
+    y_lo, y_hi = float(q_axis.min()), float(q_axis.max())
+    px = lambda p: MARGIN + (p - x_lo) / (x_hi - x_lo) * PLOT_W
+    py = lambda q: MARGIN + 20 + (1.0 - (q - y_lo) / (y_hi - y_lo)) * PLOT_H
+    # every x, y and fill is formatted once; a cell is its column's head and
+    # the tail of its (code, q) pair
+    heads = [f'<rect x="{px(p) - size / 2:.2f}" y="' for p in p_axis.tolist()]
+    tails = np.array([[f'{py(q) - size / 2:.2f}" width="{size:.1f}" '
+                       f'height="{size:.1f}" fill="{fill}"/>'
+                       for q in q_axis.tolist()] for fill in FILLS],
+                     dtype=object)
+    head = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" '
         f'height="{HEIGHT}" viewBox="0 0 {WIDTH} {HEIGHT}">',
         "<desc>config: " + html.escape(config_json(config)) + "</desc>",
         f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
         f'<text x="{WIDTH / 2:.1f}" y="16" text-anchor="middle" '
-        f'font-size="14">{title}</text>',
+        f'font-size="14">blow-up classification, n={n}</text>',
     ]
-    for x, y, c in zip(xs, ys, colors):
-        parts.append(f'<rect x="{px(x) - point_size / 2:.2f}" '
-                     f'y="{py(y) - point_size / 2:.2f}" '
-                     f'width="{point_size:.1f}" height="{point_size:.1f}" '
-                     f'fill="{c}"/>')
-    for cx, cy, color in curves or []:
-        pts = " ".join(f"{px(float(a)):.2f},{py(float(b)):.2f}"
-                       for a, b in zip(cx, cy))
+    parts = []
+    if len(curve) > 1:
+        pts = " ".join(f"{px(p):.2f},{py(q):.2f}" for p, q in curve)
         parts.append(f'<polyline points="{pts}" fill="none" '
-                     f'stroke="{color}" stroke-width="1.5"/>')
+                     f'stroke="#1a237e" stroke-width="1.5"/>')
     axis_y = MARGIN + 20 + PLOT_H
     parts.append(f'<line x1="{MARGIN}" y1="{axis_y}" x2="{MARGIN + PLOT_W}" '
                  f'y2="{axis_y}" stroke="black"/>')
@@ -77,17 +72,28 @@ def scatter_svg(path, xs, ys, colors, x_label: str, y_label: str,
         parts.append(f'<text x="{MARGIN - 6}" y="{py(v) + 3:.2f}" '
                      f'text-anchor="end" font-size="10">{v:.3g}</text>')
     parts.append(f'<text x="{MARGIN + PLOT_W / 2:.1f}" y="{HEIGHT - 8}" '
-                 f'text-anchor="middle" font-size="12">{x_label}</text>')
+                 f'text-anchor="middle" font-size="12">p</text>')
     parts.append(f'<text x="14" y="{MARGIN + 20 + PLOT_H / 2:.1f}" '
                  f'font-size="12" transform="rotate(-90 14 '
                  f'{MARGIN + 20 + PLOT_H / 2:.1f})" '
-                 f'text-anchor="middle">{y_label}</text>')
+                 f'text-anchor="middle">q</text>')
     ly = MARGIN + 24
-    for label, color in legend:
+    for verdict, fill in zip(Verdict, FILLS):
         parts.append(f'<rect x="{MARGIN + PLOT_W - 150}" y="{ly - 8}" '
-                     f'width="10" height="10" fill="{color}"/>')
+                     f'width="10" height="10" fill="{fill}"/>')
         parts.append(f'<text x="{MARGIN + PLOT_W - 136}" y="{ly + 1}" '
-                     f'font-size="11">{label}</text>')
+                     f'font-size="11">{verdict.value}</text>')
         ly += 16
     parts.append("</svg>")
-    Path(path).write_text("\n".join(parts) + "\n", encoding="utf-8")
+    cols = np.arange(res)
+    fh = open(path, "w", encoding="utf-8")
+    try:
+        with fh:
+            fh.write("\n".join(head) + "\n")
+            for row, x in enumerate(heads):
+                col = tails[codes[row * res:(row + 1) * res], cols]
+                fh.write(x + ("\n" + x).join(col.tolist()) + "\n")
+            fh.write("\n".join(parts) + "\n")
+    except BaseException:
+        os.unlink(path)
+        raise

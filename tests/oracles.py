@@ -1,13 +1,14 @@
 """Reference computations that only the tests use: brute-force forms of
 slicing identities, the simplified U lower bound, finite-difference
-residuals and the asymptotic ratio of Phi, and the Hoelder norms summed
-node by node for each t.  The package itself never needs them, so they live
-next to the assertions that check against them."""
+residuals and the asymptotic ratio of Phi, the Hoelder norms summed node
+by node for each t, and the critical curve found by bisection.  The package
+itself never needs them, so they live next to the assertions that check
+against them."""
 import math
 
 import numpy as np
 
-from nakao.exponents import critical_values
+from nakao.exponents import alpha_n, critical_values
 from nakao.slicing import (IterationBounds, IterationConfig,
                            _geometric_coeffs, _side_data, iteration_bounds,
                            product_limit, slice_factor)
@@ -117,3 +118,20 @@ def holder_norms_per_t(evaluator: PhiEvaluator, ts, p: float,
         out[i] = np.sum(wts * np.exp(pp * (evaluator.log_phi(r) - t)
                                      + (evaluator.n - 1) * np.log(r)))
     return sphere_area(evaluator.n) * out
+
+
+def critical_curve_q_bisected(n: int, p: float, q_hi: float) -> float | None:
+    """q with alpha_n(p, q) = (n-1)/2, bisected in (1 + 1e-9, q_hi] down to
+    adjacent floats, or None if alpha_n does not cross there."""
+    f = lambda q: alpha_n(p, q) - (n - 1.0) / 2.0
+    lo, hi = 1.0 + 1e-9, q_hi
+    if f(hi) > 0.0 or f(lo) < 0.0:
+        return None
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return mid
+        if f(mid) > 0.0:   # alpha_n decreases in q
+            lo = mid
+        else:
+            hi = mid

@@ -6,10 +6,12 @@ import warnings
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from nakao import cli, lifespan, output
+from nakao import cli, lifespan, output, svg
 from nakao.cli import dispatch
+from nakao.exponents import Verdict, region_axes
 
 
 def read_csv(path):
@@ -181,14 +183,26 @@ def test_region_svg_draws_each_cell_in_its_csv_verdict(tmp_path,
     assert dispatch(["region", "--n", "3", "--grid", "130", "--svg",
                      "--out", str(out)]) == 0
     _, _, rows = read_csv(f"{out}.csv")
-    color = dict(cli._REGION_LABELS)
+    color = dict(zip((v.value for v in Verdict), svg.FILLS))
     want = [color[row[4]] for row in rows]
     # one square per cell, in row order; the point size 360/130 prints 2.8
-    drawn = re.findall(r'<rect x="[^"]+" y="[^"]+" width="2.8" '
-                       r'height="2.8" fill="([^"]+)"/>',
+    cells = re.findall(r'<rect x="[^"]+" y="[^"]+" width="2.8" '
+                       r'height="2.8" fill="[^"]+"/>\n',
                        Path(f"{out}.svg").read_text())
+    drawn = [re.search(r'fill="([^"]+)"', c)[1] for c in cells]
     assert len(want) == 16_900 and len(set(want)) == 3
     assert drawn == want
+    # the room check counts each cell's line without its numbers and fill
+    assert {len(re.sub(r'"[^"]*"', '""', c)) for c in cells} == {svg.RECT_BYTES}
+
+
+def test_region_svg_failure_leaves_no_svg(tmp_path):
+    # the third p column holds a code with no fill, after two were written
+    p_axis, q_axis = region_axes(2, (1.1, 3.0), (1.1, 3.0), 4)
+    codes = np.array([0] * 8 + [4] * 8, dtype=np.int8)
+    with pytest.raises(IndexError):
+        svg.region_svg(tmp_path / "r.svg", 2, p_axis, q_axis, codes, [], {})
+    assert not list(tmp_path.iterdir())
 
 
 def test_region_flag_overrides_config(tmp_path):
@@ -287,6 +301,20 @@ def test_region_csv_too_large_for_disk_exit_2(tmp_path, monkeypatch, capsys):
                      "--out", str(tmp_path / "reg")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "1048576 free" in err
+    assert not list(tmp_path.iterdir())
+
+
+def test_region_svg_too_large_for_disk_exit_2(tmp_path, monkeypatch, capsys):
+    # 10 MiB free holds the least bytes of the 1e6 x 6 CSV (6e6), but not
+    # those and the SVG's 45 bytes of <rect/> text per cell: 5.1e7 in all
+    free = os.statvfs_result((4096, 4096, 2**20, 2560, 2560, 0, 0, 0, 0, 255))
+    monkeypatch.setattr(os, "statvfs", lambda path: free)
+    output.check_room(tmp_path / "reg", 6 * 10**6)   # the CSV alone fits
+    assert dispatch(["region", "--n", "2", "--grid", "1000", "--svg",
+                     "--out", str(tmp_path / "reg")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "51000000 bytes; 10485760 free" in err
     assert not list(tmp_path.iterdir())
 
 

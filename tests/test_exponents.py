@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +17,7 @@ from nakao.exponents import (_SCAN_BLOCK, Verdict, alpha0, alpha1, alpha_n,
                              region_scan, scan_arrays, scan_block,
                              strauss_exponent)
 from nakao.params import ProblemParams, admissible_cap
+from oracles import critical_curve_q_bisected
 
 
 def test_admissible_examples():
@@ -190,6 +192,37 @@ def test_critical_curve_q():
     assert critical_curve_q(8, 1.1, 8 / 6) is None        # box fully blow-up
 
 
+def _exact_crossing(n, p):
+    """The largest of the components' crossings of (n-1)/2, in rationals."""
+    h, p = Fraction(n - 1, 2), Fraction(p)
+    half = Fraction(1, 2)
+    qs = [(1 + (half + p) / (h + half)) / p]
+    if h * p > half:
+        qs.append((1 + h) / (h * p - half))
+    if h > 0:
+        qs.append((2 + 1 / p + h) / (h * p))
+    return max(qs)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_critical_curve_q_matches_bisection(n):
+    from nakao.exponents import critical_curve_q
+    crossings = 0
+    for p in np.linspace(1.001, 8.0, 400).tolist():
+        exact = _exact_crossing(n, p)
+        for q_hi in (1.5, 3.0, 6.0, 50.0, 1e4):
+            want = critical_curve_q_bisected(n, p, q_hi)
+            got = critical_curve_q(n, p, q_hi)
+            assert (got is None) == (want is None), (p, q_hi)
+            if want is not None:
+                # the bisection stops where alpha_n's rounding does, up to
+                # 7.6e-14 off the rational crossing (n = 2, p = 1.001)
+                assert got == pytest.approx(want, rel=1e-13, abs=0.0)
+                assert abs(Fraction(got) - exact) <= 1e-15 * exact
+                crossings += 1
+    assert (crossings == 0) == (n == 1)
+
+
 def test_scan_matches_scalar_classification():
     from nakao.exponents import scan_arrays
     rng_p = np.linspace(1.05, 2.8, 7)
@@ -271,3 +304,17 @@ def test_region_command_peak_memory(tmp_path):
         assert rc == 0
         peaks.append(peak)
     assert peaks[1] <= 1.25 * peaks[0] and peaks[1] < 4 * 2**20
+
+
+def test_region_svg_peak_memory(tmp_path):
+    # the SVG is written one p column at a time from the 1-byte codes, so
+    # beside the CSV's block the peak holds the codes and one column's text
+    # (it was the whole drawing as text: 116.6 MiB at --grid 600)
+    peaks = []
+    for res in (300, 600):
+        rc, peak = _traced_peak(lambda: dispatch(
+            ["region", "--n", "2", "--grid", str(res), "--svg",
+             "--out", str(tmp_path / f"reg{res}")]))
+        assert rc == 0
+        peaks.append(peak)
+    assert peaks[1] <= 1.25 * peaks[0] and peaks[1] < 6 * 2**20

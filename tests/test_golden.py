@@ -40,6 +40,8 @@ CASES = {
     "region-n2": (0, ["region", "--n", "2", "--grid", "12", "--svg",
                       "--out", "r"]),
     "region-n3": (0, ["region", "--n", "3", "--grid", "10", "--svg"]),
+    "region-n3-grid130": (0, ["region", "--n", "3", "--grid", "130",
+                              "--svg"]),
     "region-n4": (0, ["region", "--n", "4", "--grid", "11", "--svg",
                       "--out", "r"]),
     "region-box": (0, ["region", "--n", "2", "--grid", "7", "--p-min", "1.2",

@@ -683,9 +683,15 @@ def test_support_radius_one_sided_data():
     fld.u = np.where(fld.x > 0.5, np.exp(-fld.x ** 2), 0.0)
     fld.v = 0.5 * fld.u
     expected = _ref_support_radius(fld)
-    assert support_radius(fld) == expected
+
+    def mags():   # |u|, |v| and their maxima on the span, as _march has them
+        lo, hi = fld.span
+        abs_u, abs_v = np.abs(fld.u[lo:hi]), np.abs(fld.v[lo:hi])
+        return abs_u, abs_v, float(abs_u.max()), float(abs_v.max())
+
+    assert support_radius(fld, mags()) == expected
     fld.span = _nonzero_span(fld)
-    assert support_radius(fld) == expected > 2.0
+    assert support_radius(fld, mags()) == expected > 2.0
 
 
 # (params, ladder, numerics): t_max is cut short of the last (smallest)
