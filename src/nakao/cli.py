@@ -17,9 +17,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .exponents import (Verdict, critical_curve_q, critical_values,
-                        diagonal_blowup_bound, fujita_exponent, p0_exponent,
-                        region_axes, region_scan, scan_block, strauss_exponent)
+from .exponents import (Verdict, critical_values, diagonal_blowup_bound,
+                        fujita_exponent, p0_exponent, region_axes, scan_block,
+                        strauss_exponent)
 from .lifespan import InconclusiveSweep, sweep
 from .output import check_room, column_texts, write_csv, write_json
 from .params import ProblemParams, admissible_cap
@@ -153,15 +153,12 @@ def cmd_region(cfg: dict) -> int:
             cfg[f"{x}_max"] = cap if math.isfinite(cap) else 6.0
         if math.isnan(cfg[f"{x}_min"]):
             cfg[f"{x}_min"] = 1.0 + (cfg[f"{x}_max"] - 1.0) / res
-    q_min, q_max = cfg["q_min"], cfg["q_max"]
     p_axis, q_axis = region_axes(n, (cfg["p_min"], cfg["p_max"]),
-                                 (q_min, q_max), res)
+                                 (cfg["q_min"], cfg["q_max"]), res)
     # each CSV cell writes at least its ',' or newline, each drawn cell the
     # fixed text of its <rect/> line
     check_room(cfg["out"], res * res * (len(_REGION_HEADER)
                                         + (RECT_BYTES if cfg["svg"] else 0)))
-    # before the CSV is opened, so that a grid too large for memory leaves none
-    codes = region_scan(n, p_axis, q_axis) if cfg["svg"] else None
     # the grid repeats res p values, res q values, 4 verdicts and 3 binding
     # indices: each is formatted once, here, before write_csv forks
     p_text, q_text, verdicts, bindings = (
@@ -176,11 +173,8 @@ def cmd_region(cfg: dict) -> int:
                 bindings[binding].tolist()]
 
     write_csv(f"{cfg['out']}.csv", cfg, _REGION_HEADER, texts, res * res)
-    if codes is not None:
-        curve = [(pv, qc) for pv in p_axis.tolist()
-                 if (qc := critical_curve_q(n, pv, q_max)) is not None
-                 and qc >= q_min]
-        region_svg(f"{cfg['out']}.svg", n, p_axis, q_axis, codes, curve, cfg)
+    if cfg["svg"]:
+        region_svg(f"{cfg['out']}.svg", n, p_axis, q_axis, cfg)
     return 0
 
 
@@ -373,7 +367,7 @@ def dispatch(argv: list[str]) -> int:
         return _COMMANDS[ns.command](cfg)
     except (ConfigError, ValueError, MemoryError) as exc:
         # MemoryError: numpy refuses an array too large for the host (the
-        # whole-grid scan of region --svg) before anything is written
+        # axes of an absurd region --grid) before anything is written
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -163,7 +163,7 @@ def critical_values(params: ProblemParams) -> ExponentReport:
 # ---------------------------------------------------------------------------
 # named exponents of the p = q diagonal
 
-def _bisect_root(f, lo: float, hi: float, df=None) -> float:
+def _bisect_root(f, lo: float, hi: float, df) -> float:
     """Bracketed bisection to width 1e-14, then one Newton polish."""
     flo, fhi = f(lo), f(hi)
     if flo == 0.0:
@@ -183,11 +183,8 @@ def _bisect_root(f, lo: float, hi: float, df=None) -> float:
         else:
             lo, flo = mid, fm
     root = 0.5 * (lo + hi)
-    if df is not None:
-        d = df(root)
-        if d != 0.0:
-            root -= f(root) / d
-    return root
+    d = df(root)
+    return root - f(root) / d if d != 0.0 else root
 
 
 def strauss_exponent(n: int) -> float:
@@ -280,7 +277,8 @@ def region_axes(n: int, p_range: tuple[float, float],
                 resolution: int) -> tuple[np.ndarray, np.ndarray]:
     """(p_axis, q_axis): resolution points over each closed range, both ends
     included.  Refuses (ValueError) a box without a dimension, with fewer
-    than 2 points per axis, or with an axis outside 1 < lo < hi."""
+    than 2 points per axis, with an axis outside 1 < lo < hi, or whose
+    largest pq overflows."""
     if n < 1:
         raise ValueError(f"dimension must be >= 1, got {n}")
     if resolution < 2:
@@ -288,6 +286,8 @@ def region_axes(n: int, p_range: tuple[float, float],
     for lo, hi in (p_range, q_range):
         if not (1.0 < lo < hi):
             raise ValueError(f"range must satisfy 1 < lo < hi, got ({lo}, {hi})")
+    if not math.isfinite(p_range[1] * q_range[1]):
+        raise ValueError(f"pq must be finite, got {p_range[1]} * {q_range[1]}")
     return tuple(np.linspace(*r, resolution) for r in (p_range, q_range))
 
 

@@ -1,6 +1,7 @@
 """Deterministic CSV/JSON emission: identical config in, identical bytes out."""
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
@@ -8,7 +9,6 @@ import signal
 import sys
 import tempfile
 import traceback
-from pathlib import Path
 
 import numpy as np
 
@@ -162,6 +162,19 @@ def check_room(out, need: int) -> None:
         raise ValueError(f"{out}.* need at least {need} bytes; {free} free")
 
 
+@contextlib.contextmanager
+def written(path):
+    """path opened for writing text, and removed if the block fails.  A
+    forked CSV worker leaves through os._exit, so it never removes it."""
+    fh = open(path, "w", encoding="utf-8")
+    try:
+        with fh:
+            yield fh
+    except BaseException:
+        os.unlink(path)
+        raise
+
+
 def write_csv(path, config: dict, header: list[str], columns,
               n_rows: int | None = None) -> None:
     """CSV with the resolved config as a leading comment line.  `columns`
@@ -179,16 +192,11 @@ def write_csv(path, config: dict, header: list[str], columns,
             raise ValueError("need one column per header entry, all one length")
         n_rows = lengths.pop() if columns else 0
         texts = lambda lo, hi: [column_texts(col[lo:hi]) for col in columns]
-    fh = open(path, "w", encoding="utf-8")
-    try:
-        with fh:
-            fh.write(config_line(config) + "\n" + ",".join(header) + "\n")
-            _write_parts(fh, texts, _parts(n_rows))
-    except BaseException:
-        os.unlink(path)
-        raise
+    with written(path) as fh:
+        fh.write(config_line(config) + "\n" + ",".join(header) + "\n")
+        _write_parts(fh, texts, _parts(n_rows))
 
 
 def write_json(path, obj: dict) -> None:
-    text = json.dumps(_native(obj), sort_keys=True, indent=2)
-    Path(path).write_text(text + "\n", encoding="utf-8")
+    with written(path) as fh:
+        fh.write(json.dumps(_native(obj), sort_keys=True, indent=2) + "\n")

@@ -32,7 +32,7 @@ class ProblemParams:
 
     n: space dimension; p, q: nonlinearity exponents (|v|^p drives the damped
     component, |u|^q the free one); R: radius of the initial-data support;
-    epsilon: data size.  All four are finite.
+    epsilon: data size.  All four are finite, and so is pq.
     """
 
     n: int
@@ -44,7 +44,7 @@ class ProblemParams:
     def __post_init__(self) -> None:
         if not isinstance(self.n, int) or self.n < 1:
             raise ValueError(f"n must be a positive integer, got {self.n!r}")
-        for name in ("p", "q", "R", "epsilon"):
+        for name in ("p", "q", "R", "epsilon", "pq"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got "
                                  f"{getattr(self, name)}")

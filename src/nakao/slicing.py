@@ -316,13 +316,14 @@ def iteration_bounds(config: IterationConfig) -> IterationBounds:
     growth_v = init.log_q + lpq / (s * s) * (1.0 - 2.0 * p * q * q - 3.0 * pq - q) \
         + log_e0t / s
 
-    j0 = _round_up_odd(2.0 * (p + 1.0) / (3.0 + 2.0 * p)
-                       + 2.0 * log_e0 / ((3.0 + 2.0 * p) * lpq) - 2.0 * pq / s)
-    j1 = _round_up_odd(5.0 * q / (2.0 + 3.0 * q)
-                       + 2.0 * log_e0t / ((2.0 + 3.0 * q) * lpq) - 2.0 * pq / s)
-    return IterationBounds(b0=b0, b0_tilde=b0t, m_log=m_log,
-                           log_e0=log_e0, log_e0_tilde=log_e0t,
-                           growth_u=growth_u, growth_v=growth_v, j0=j0, j1=j1)
+    x0 = (2.0 * (p + 1.0) / (3.0 + 2.0 * p)
+          + 2.0 * log_e0 / ((3.0 + 2.0 * p) * lpq) - 2.0 * pq / s)
+    x1 = (5.0 * q / (2.0 + 3.0 * q)
+          + 2.0 * log_e0t / ((2.0 + 3.0 * q) * lpq) - 2.0 * pq / s)
+    consts = (b0, b0t, m_log, log_e0, log_e0t, growth_u, growth_v)
+    if not all(map(math.isfinite, consts + (x0, x1))):
+        raise ValueError(f"the iteration constants overflow at p={p}, q={q}")
+    return IterationBounds(*consts, _round_up_odd(x0), _round_up_odd(x1))
 
 
 def thresholds(config: IterationConfig) -> tuple[int, int]:

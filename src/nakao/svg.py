@@ -2,12 +2,11 @@
 from __future__ import annotations
 
 import html
-import os
 
 import numpy as np
 
-from .exponents import Verdict
-from .output import config_json
+from .exponents import Verdict, critical_curve_q, region_scan
+from .output import config_json, written
 
 WIDTH, HEIGHT = 640, 520
 MARGIN = 56
@@ -22,14 +21,13 @@ def _ticks(lo: float, hi: float):
     return [lo + i * step for i in range(5)]
 
 
-def region_svg(path, n: int, p_axis, q_axis, codes, curve,
-               config: dict) -> None:
+def region_svg(path, n: int, p_axis, q_axis, config: dict) -> None:
     """One square per cell of the grid over the two axes, colored by its
-    verdict code (FILLS), with the critical curve's (p, q) points drawn
-    over it as one polyline and the resolved config as the <desc> element.
-    Cell i lies at (p_axis[i // res], q_axis[i % res]) with codes[i] its
-    code, as region_scan returns them.  The file is written one p column at
-    a time, and removed if writing fails."""
+    verdict code (FILLS), with the critical curve (one point per p whose
+    crossing lies in the box) drawn over it as one polyline and the
+    resolved config as the <desc> element.  The file is written one p
+    column at a time, each classified by region_scan as it is written, and
+    removed if writing fails."""
     res = len(q_axis)
     size = max(2.0, 360.0 / res)
     x_lo, x_hi = float(p_axis.min()), float(p_axis.max())
@@ -52,6 +50,8 @@ def region_svg(path, n: int, p_axis, q_axis, codes, curve,
         f'font-size="14">blow-up classification, n={n}</text>',
     ]
     parts = []
+    curve = [(p, qc) for p in p_axis.tolist()
+             if (qc := critical_curve_q(n, p, y_hi)) is not None and qc >= y_lo]
     if len(curve) > 1:
         pts = " ".join(f"{px(p):.2f},{py(q):.2f}" for p, q in curve)
         parts.append(f'<polyline points="{pts}" fill="none" '
@@ -86,14 +86,9 @@ def region_svg(path, n: int, p_axis, q_axis, codes, curve,
         ly += 16
     parts.append("</svg>")
     cols = np.arange(res)
-    fh = open(path, "w", encoding="utf-8")
-    try:
-        with fh:
-            fh.write("\n".join(head) + "\n")
-            for row, x in enumerate(heads):
-                col = tails[codes[row * res:(row + 1) * res], cols]
-                fh.write(x + ("\n" + x).join(col.tolist()) + "\n")
-            fh.write("\n".join(parts) + "\n")
-    except BaseException:
-        os.unlink(path)
-        raise
+    with written(path) as fh:
+        fh.write("\n".join(head) + "\n")
+        for row, x in enumerate(heads):
+            codes = region_scan(n, p_axis[row:row + 1], q_axis)
+            fh.write(x + ("\n" + x).join(tails[codes, cols].tolist()) + "\n")
+        fh.write("\n".join(parts) + "\n")

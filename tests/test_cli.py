@@ -124,9 +124,14 @@ def test_simulate_v1_finite_past_phi_overflow(tmp_path):
     (["simulate", "--n", "1", "--p", "inf", "--q", "2"], "p"),
     (["simulate", "--n", "1", "--p", "2", "--q", "2", "--amp-v1", "inf"],
      "amp_v1"),
+    (["report", "--n", "1", "--p", "1e200", "--q", "1e200"], "pq"),
+    (["sequences", "--n", "1", "--p", "1e200", "--q", "1e200"], "pq"),
+    (["region", "--n", "1", "--p-max", "1e200", "--q-max", "1e200"], "pq"),
 ])
 def test_non_finite_params_exit_2_naming_them(tmp_path, capsys, argv, name):
-    # an infinite epsilon used to give an all-nan trace reported as blow-up
+    # an infinite epsilon used to give an all-nan trace reported as blow-up;
+    # an overflowing pq, "cannot convert float NaN to integer" (report,
+    # sequences) or every region cell wakasugi_only with overflow warnings
     assert dispatch([*argv, "--out", str(tmp_path / "o")]) == 2
     assert f"error: {name} must be finite" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
@@ -157,6 +162,21 @@ def test_sweep_bad_tol_exit_2_without_output(tmp_path, capsys, tol):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("argv", [
+    # an OverflowError traceback from rounding the infinite j0 (exit 1)
+    ["report", "--n", "1", "--p", "1e150", "--q", "1e150"],
+    ["report", "--n", "1", "--p", "1e300", "--q", "2"],
+    # exit 0 with nan logD_lower and logQ_lower
+    ["sequences", "--n", "1", "--p", "1e150", "--q", "1e150"],
+])
+def test_overflowing_iteration_constants_exit_2(tmp_path, capsys, argv):
+    assert dispatch([*argv, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: the iteration constants overflow")
+    assert err.count("\n") == 1
+    assert not list(tmp_path.iterdir())
+
+
 def test_invalid_params_exit_2(tmp_path):
     assert dispatch(["report", "--n", "1", "--p", "0.5", "--q", "2",
                      "--out", str(tmp_path / "r")]) == 2
@@ -176,7 +196,8 @@ def test_region_csv_and_svg(tmp_path):
 def test_region_svg_draws_each_cell_in_its_csv_verdict(tmp_path,
                                                        monkeypatch):
     # 16,900 cells in three 8,192-row blocks, written on two CPUs: the CSV
-    # rows come from the forked writer, the drawing from region_scan
+    # rows come from the forked writer, the drawing from its own scan of
+    # each p column
     monkeypatch.setattr(output, "_usable_cpus", lambda: 2)
     assert len(output._parts(130 * 130)) == 2
     out = tmp_path / "reg"
@@ -196,12 +217,15 @@ def test_region_svg_draws_each_cell_in_its_csv_verdict(tmp_path,
     assert {len(re.sub(r'"[^"]*"', '""', c)) for c in cells} == {svg.RECT_BYTES}
 
 
-def test_region_svg_failure_leaves_no_svg(tmp_path):
-    # the third p column holds a code with no fill, after two were written
+def test_region_svg_failure_leaves_no_svg(tmp_path, monkeypatch):
+    # the third p column is classified with a code that has no fill, after
+    # two were written
+    column_codes = iter([0, 0, 4, 0])
+    monkeypatch.setattr(svg, "region_scan", lambda n, p_axis, q_axis: np.full(
+        len(q_axis), next(column_codes), dtype=np.int8))
     p_axis, q_axis = region_axes(2, (1.1, 3.0), (1.1, 3.0), 4)
-    codes = np.array([0] * 8 + [4] * 8, dtype=np.int8)
     with pytest.raises(IndexError):
-        svg.region_svg(tmp_path / "r.svg", 2, p_axis, q_axis, codes, [], {})
+        svg.region_svg(tmp_path / "r.svg", 2, p_axis, q_axis, {})
     assert not list(tmp_path.iterdir())
 
 

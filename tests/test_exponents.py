@@ -307,14 +307,17 @@ def test_region_command_peak_memory(tmp_path):
 
 
 def test_region_svg_peak_memory(tmp_path):
-    # the SVG is written one p column at a time from the 1-byte codes, so
-    # beside the CSV's block the peak holds the codes and one column's text
-    # (it was the whole drawing as text: 116.6 MiB at --grid 600)
-    peaks = []
-    for res in (300, 600):
-        rc, peak = _traced_peak(lambda: dispatch(
-            ["region", "--n", "2", "--grid", str(res), "--svg",
-             "--out", str(tmp_path / f"reg{res}")]))
-        assert rc == 0
-        peaks.append(peak)
-    assert peaks[1] <= 1.25 * peaks[0] and peaks[1] < 6 * 2**20
+    # the SVG is written one p column at a time, each classified as it is
+    # written, so its peak is one column's codes and text, below the CSV's
+    # block: nothing of a byte per cell is held (it was the whole drawing as
+    # text, 116.6 MiB at --grid 600, then the grid's 1-byte codes beside the
+    # CSV, 341 KiB above the CSV's own peak)
+    peaks = {}
+    for flags in ([], ["--svg"]):
+        for res in (300, 600):
+            rc, peaks[res, bool(flags)] = _traced_peak(lambda: dispatch(
+                ["region", "--n", "2", "--grid", str(res), *flags,
+                 "--out", str(tmp_path / f"reg{res}")]))
+            assert rc == 0
+    assert peaks[600, True] <= 1.25 * peaks[300, True]
+    assert peaks[600, True] <= peaks[600, False] + 600 * 600 // 4

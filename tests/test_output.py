@@ -1,4 +1,6 @@
 """The columnar CSV writer against the row-at-a-time formatter it replaced."""
+import errno
+import io
 import json
 import math
 import os
@@ -230,6 +232,24 @@ def test_failed_cell_leaves_no_file_and_no_child(tmp_path, monkeypatch,
         assert list(tmp_path.iterdir()) == []
         with pytest.raises(ChildProcessError):   # every worker was reaped
             os.waitpid(-1, os.WNOHANG)
+
+
+class _FullDisk(io.TextIOWrapper):
+    """A text file whose disk fills halfway through the first write."""
+
+    def write(self, text):
+        super().write(text[:len(text) // 2])
+        self.flush()
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+def test_failed_json_write_leaves_no_file(tmp_path, monkeypatch):
+    # Path.write_text left the half that fitted
+    monkeypatch.setattr(output, "open", lambda path, mode, encoding: _FullDisk(
+        io.FileIO(path, mode), encoding=encoding), raising=False)
+    with pytest.raises(OSError, match="No space left"):
+        output.write_json(tmp_path / "r.json", {"config": {"n": 2}})
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_numpy_bools_spelled_like_bools(tmp_path):

@@ -9,6 +9,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import nakao
 from nakao.cli import dispatch
 
@@ -60,11 +62,13 @@ def test_tracer_hooks_read_simulate_and_sweep(monkeypatch, tmp_path):
     assert tracer.counts["lifespan.points"] == 4
 
 
-def test_benchmark_ladder_smoke_is_correct():
-    # the benchmark's batched sweep, columns retiring mid-march, traced
+@pytest.mark.parametrize("workload", ["ladder", "region-csv"])
+def test_benchmark_ladder_smoke_is_correct(workload):
+    # ladder: the benchmark's batched sweep, columns retiring mid-march,
+    # traced; region-csv: its perturbed boxes pass region_axes' checks
     env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
     proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", "ladder",
+        [sys.executable, "perfbench/run.py", "--workload", workload,
          "--smoke", "--trace", "1", "--seconds", "1"],
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
