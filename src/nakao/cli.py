@@ -202,8 +202,9 @@ def _params(cfg: dict) -> ProblemParams:
 def cmd_sequences(cfg: dict) -> int:
     params = _params(cfg)
     config = IterationConfig(params=params, init_mode=InitMode(cfg["mode"]))
-    states = iterate(config, cfg["jmax"])
+    # the constants first: past a pq where they overflow, that is the error
     bounds = iteration_bounds(config)
+    states = iterate(config, cfg["jmax"])
     rows = []
     for st in states:
         lo_u, lo_v = (log_lower_bounds(st.j, config, bounds) if st.j % 2 == 1

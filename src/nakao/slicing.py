@@ -193,9 +193,15 @@ def step(state: SlicingState, config: IterationConfig) -> SlicingState:
 
 
 def iterate(config: IterationConfig, j_max: int) -> list[SlicingState]:
-    """States j = 1 .. j_max by repeated stepping."""
+    """States j = 1 .. j_max by repeated stepping.  Refuses a j_max past
+    last_finite_j(config), where the exponents leave the float range."""
     if j_max < 1:
         raise ValueError(f"j_max must be >= 1, got {j_max}")
+    last = last_finite_j(config)
+    if j_max > last:
+        raise ValueError(
+            f"j_max {j_max} is past j = {last}, the last index whose "
+            f"closed-form exponents are finite at pq = {config.params.pq!r}")
     states = [initial_state(config)]
     while states[-1].j < j_max:
         states.append(step(states[-1], config))
@@ -242,6 +248,38 @@ def even_beta_b(j: int, config: IterationConfig):
     c_beta, c_b = _geometric_coeffs(params)
     return ((c_b + b1) / params.q * g - c_beta,
             (c_beta + beta1) / params.p * g - c_b)
+
+
+def last_finite_j(config: IterationConfig) -> int:
+    """Largest j such that the closed-form exponents of every index up to j
+    are finite: closed_form_exponents at odd indices, even_beta_b at even.
+
+    Both grow like (pq)^{j/2} (all their coefficients are positive), so
+    within one parity they are finite up to some index and not after it.
+    Each parity's first index past the float range is found by doubling
+    the step from its first index, then bisecting.
+    """
+    def finite(j: int) -> bool:
+        try:
+            forms = (closed_form_exponents(j, config) if j % 2 == 1
+                     else even_beta_b(j, config))
+        except OverflowError:   # the power of pq itself
+            return False
+        return all(map(math.isfinite, forms))
+
+    def first_past(j: int) -> int:
+        below, at = j - 2, j   # below: finite, or before the first index
+        while finite(at):
+            below, at = at, at + 2 * (at - below)
+        while at - below > 2:
+            mid = below + 2 * ((at - below) // 4)
+            if finite(mid):
+                below = mid
+            else:
+                at = mid
+        return at
+
+    return min(first_past(1), first_past(2)) - 1
 
 
 def closed_form_deviation(state: SlicingState, config: IterationConfig) -> float:

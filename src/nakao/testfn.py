@@ -2,8 +2,16 @@
 solution Psi = e^{-t} Phi, and the Hoelder-norm quadratures built on them.
 
 Phi is 2*cosh(r) in one dimension and the sphere average of e^{x.w} above;
-it grows like r^{-(n-1)/2} e^r, so evaluation goes through log_phi to stay
-finite far out.
+it grows like r^{-(n-1)/2} e^r, so evaluation is of log Phi, to stay finite
+far out.  log_phi takes any radii.  The Hoelder norms' lattice panels
+[0.5k, 0.5(k+1)] go through log_phi_grid instead: each of their nodes is a
+panel midpoint plus one of 16 fixed offsets, so below r_switch the polar
+integrand factorizes into a (panels x order) and a (16 x order) block of
+exponentials, and the polar sum is one contraction of the two.  The
+contraction is np.einsum, not BLAS `@`, because BLAS chooses its summation
+order from the matrix shape, and a panel's value must not depend on how
+many panels share the call (holder_ratio equals psi_holder_norm at each t
+exactly).
 """
 from __future__ import annotations
 
@@ -95,25 +103,64 @@ class PhiEvaluator:
             out[~near] = self._log_k + far - 0.5 * (self.n - 1) * np.log(far)
         return out[0] if np.isscalar(r) or np.ndim(r) == 0 else out
 
+    def log_phi_grid(self, mid: np.ndarray, off: np.ndarray) -> np.ndarray:
+        """log Phi(mid[:, None] + off[None, :]), one row per mid.
+
+        A row whose radii all lie at or below r_switch (n >= 2) is summed as
+        one factorized quadrature: e^{r(cos t - 1)} = e^{mid(cos t - 1)}
+        e^{off(cos t - 1)}, so the rows take one exp per (mid, node) and
+        per (off, node) instead of one per (radius, node), and the sum over
+        the nodes is one np.einsum contraction, which sums each row in an
+        order that does not depend on how many rows there are (BLAS `@`
+        does not).  Every other row, and every row at n = 1, goes through
+        log_phi, so each radius takes the branch it takes there.  Agrees
+        with log_phi to rounding (a few ulp of the sum).
+        """
+        r = mid[:, None] + off[None, :]
+        if np.any(r < 0.0):
+            raise ValueError("radius must be nonnegative")
+        out = np.empty(r.shape)
+        # False at n = 1 and at NaN, which log_phi then refuses
+        near = (self.n > 1) & np.all(r <= self.r_switch, axis=1)
+        if not np.all(near):
+            out[~near] = self.log_phi(r[~near].ravel()).reshape(-1, off.size)
+        if np.any(near):
+            x, w = _gauss_legendre(self.order)
+            theta = 0.5 * math.pi * (x + 1.0)
+            drop = np.cos(theta) - 1.0
+            rows = np.exp(mid[near, None] * drop[None, :])
+            cols = np.exp(off[:, None] * drop[None, :]) * (0.5 * math.pi * w)
+            if self.n > 2:
+                cols = cols * np.sin(theta)[None, :] ** (self.n - 2)
+            s = np.einsum("kj,ij->ki", rows, cols, optimize=False)
+            out[near] = r[near] + np.log(sphere_area(self.n - 1) * s)
+        return out
+
     def phi(self, r):
         """Phi(r) itself (overflows past r ~ 709 like e^r does)."""
         return np.exp(self.log_phi(r))
 
 
 def _panel_logs(evaluator: PhiEvaluator, pp: float, lo: np.ndarray,
-                hi: np.ndarray) -> np.ndarray:
+                hi: np.ndarray, lattice: bool) -> np.ndarray:
     """log of the 16-point Gauss-Legendre sum of Phi^{p'} r^{n-1} on each
     radial panel [lo, hi], less p' lo: the node terms
     p' (log Phi - lo) + (n-1) log r + log w as one (panels, 16) block, then
-    one log-sum-exp per row; one log_phi call for all panels."""
+    one log-sum-exp per row.  Phi comes from one log_phi_grid call for
+    lattice panels (every hi - lo is the lattice width, so each node is a
+    midpoint plus one of 16 fixed offsets), else from one log_phi call."""
     if lo.size == 0:
         return np.empty(0)
     x, w = _gauss_legendre(_HOLDER_ORDER)
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
     r = mid[:, None] + half[:, None] * x[None, :]
+    if lattice:
+        log_phi = evaluator.log_phi_grid(mid, 0.5 * _HOLDER_PANEL * x)
+    else:
+        log_phi = evaluator.log_phi(r.ravel()).reshape(r.shape)
     # nodes are interior, so r > 0 and every term is finite
-    g = (pp * (evaluator.log_phi(r.ravel()).reshape(r.shape) - lo[:, None])
-         + (evaluator.n - 1) * np.log(r) + np.log(half[:, None] * w[None, :]))
+    g = (pp * (log_phi - lo[:, None]) + (evaluator.n - 1) * np.log(r)
+         + np.log(half[:, None] * w[None, :]))
     top = np.max(g, axis=1)
     return top + np.log(np.sum(np.exp(g - top[:, None]), axis=1))
 
@@ -143,7 +190,7 @@ def _holder_norms(evaluator: PhiEvaluator, ts, p: float,
     # t too large for any grid fails in arange instead of wrapping an int.
     full = np.floor(uppers / _HOLDER_PANEL)
     edges = _HOLDER_PANEL * np.arange(np.max(full, initial=0.0) + 1.0)
-    s = _panel_logs(evaluator, pp, edges[:-1], edges[1:])
+    s = _panel_logs(evaluator, pp, edges[:-1], edges[1:], lattice=True)
     # s[k] only ever takes in s[k - d] with d <= k, so it does not depend
     # on how many panels follow: each t gets the sum it would get alone
     d = 1
@@ -156,7 +203,8 @@ def _holder_norms(evaluator: PhiEvaluator, ts, p: float,
     lo = _HOLDER_PANEL * full
     cut = uppers > lo     # an empty partial panel has weights 0, log -inf
     total[cut] = np.logaddexp(
-        total[cut], _panel_logs(evaluator, pp, lo[cut], uppers[cut])
+        total[cut], _panel_logs(evaluator, pp, lo[cut], uppers[cut],
+                                lattice=False)
         + pp * (lo[cut] - ts[cut]))
     return sphere_area(evaluator.n) * np.exp(total)
 
@@ -189,7 +237,12 @@ def c2_constant(evaluator: PhiEvaluator, p: float, R: float) -> float:
     """Calibrated Hoelder constant: the max of holder_ratio over the 101
     points of [0, 50].  The grid's step is the panel width 0.5, so with R a
     multiple of 0.5 every R+t ends on a lattice edge and no partial panel is
-    evaluated.
+    evaluated.  Phi is evaluated once, on the lattice panels up to R + 50,
+    by one PhiEvaluator.log_phi_grid call: at n >= 2 and below r_switch a
+    factorized polar quadrature contracted with np.einsum (not BLAS `@`,
+    whose summation order follows the matrix shape, so a panel's bits would
+    depend on the panel count); at n = 1 and past r_switch, log_phi.  Each
+    call evaluates its own lattice; nothing is cached across calls.
     """
     ts = np.linspace(0.0, 50.0, 101)
     return float(np.max(holder_ratio(evaluator, ts, p, R)))

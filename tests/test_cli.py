@@ -177,6 +177,21 @@ def test_overflowing_iteration_constants_exit_2(tmp_path, capsys, argv):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("argv,last", [
+    (["--p", "1e10", "--q", "1e10"], 31),
+    (["--p", "10", "--q", "10", "--jmax", "400"], 309),
+    (["--p", "2", "--q", "2", "--jmax", "1200"], 1023),
+])
+def test_sequences_jmax_past_float_range_exit_2(tmp_path, capsys, argv, last):
+    # an OverflowError traceback (exit 1) from pq ** (j / 2.0) in even_beta_b
+    assert dispatch(["sequences", "--n", "1", *argv,
+                     "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: j_max") and f"past j = {last}, " in err
+    assert err.count("\n") == 1
+    assert not list(tmp_path.iterdir())
+
+
 def test_invalid_params_exit_2(tmp_path):
     assert dispatch(["report", "--n", "1", "--p", "0.5", "--q", "2",
                      "--out", str(tmp_path / "r")]) == 2

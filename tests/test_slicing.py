@@ -9,9 +9,9 @@ from nakao.params import ProblemParams
 from nakao.slicing import (ConstantMode, DataConstants, InitMode,
                            IterationConfig, closed_form_deviation,
                            closed_form_exponents, even_beta_b, initial_state,
-                           iterate, iteration_bounds, lifespan_upper_bound,
-                           log_lower_bounds, product_limit, slice_factor,
-                           step, thresholds)
+                           iterate, iteration_bounds, last_finite_j,
+                           lifespan_upper_bound, log_lower_bounds,
+                           product_limit, slice_factor, step, thresholds)
 
 from oracles import log_functional_bound_u, partial_product, weighted_sum
 
@@ -139,6 +139,37 @@ def test_closed_forms_match_recursion(n, p, q, mode):
             eb, ebb = even_beta_b(s.j, cfg)
             assert eb == pytest.approx(s.beta, rel=1e-10)
             assert ebb == pytest.approx(s.b, rel=1e-10)
+
+
+def _first_non_finite_j(cfg) -> int:
+    # the plain scan that last_finite_j's doubling search must agree with
+    j = 1
+    while True:
+        try:
+            forms = (closed_form_exponents(j, cfg) if j % 2 == 1
+                     else even_beta_b(j, cfg))
+        except OverflowError:
+            return j
+        if not all(map(math.isfinite, forms)):
+            return j
+        j += 1
+
+
+@pytest.mark.parametrize("n,p,q,last", [
+    (1, 1e10, 1e10, (31, 30)), (1, 10.0, 10.0, (309, 308)),
+    (1, 2.0, 2.0, (1023, 1022)), (3, 1.5, 1.5, (1747, 1747)),
+    (1, 1e150, 1.5, (5, 4))])
+def test_last_finite_j_is_the_edge_of_the_float_range(n, p, q, last):
+    # the exponents grow like (pq)^{j/2}, so they leave the float range near
+    # j = 2 * 709.78 / log(pq); past it pq ** (j / 2.0) raised an
+    # OverflowError in even_beta_b.  last: (eigenfunction, direct)
+    for mode, want in zip(InitMode, last):
+        cfg = _cfg(n, p, q, mode=mode)
+        assert last_finite_j(cfg) == want == _first_non_finite_j(cfg) - 1
+        with pytest.raises(ValueError, match=f"past j = {want}, "):
+            iterate(cfg, want + 1)
+        states = iterate(cfg, want)
+        assert all(math.isfinite(x) for x in (states[-1].beta, states[-1].b))
 
 
 def test_closed_form_deviation_flags_drift_and_nan():

@@ -216,7 +216,7 @@ _C2_AT_R1 = {
     (1, 1.1): 64300.99878541726, (1, 1.3): 92.94192365950275,
     (1, 1.5): 27.459580893605484, (1, 2.0): 11.253720815694036,
     (2, 1.1): 9243438771.396181, (2, 1.3): 15877.155552406937,
-    (2, 1.5): 1140.9627260657148, (2, 2.0): 179.45109047396937,
+    (2, 1.5): 1140.9627260657148, (2, 2.0): 179.4510904739693,
     (3, 1.1): 57027019776111.19, (3, 1.3): 788812.9251527373,
     (3, 1.5): 23365.79650498274, (3, 2.0): 1832.8569424776072,
 }
@@ -279,30 +279,81 @@ def test_holder_norm_off_lattice_against_scipy_quad(n, p, R, t):
     assert psi_holder_norm(ev, t, p, R) == pytest.approx(oracle, rel=1e-9)
 
 
-def _count_radii(monkeypatch) -> list:
-    sizes = []
-    log_phi = PhiEvaluator.log_phi
+def _count_evaluations(monkeypatch) -> list:
+    """Record every Phi evaluation: ("grid", rows) per log_phi_grid call and
+    ("log_phi", radii) per log_phi call."""
+    calls = []
+    log_phi, log_phi_grid = PhiEvaluator.log_phi, PhiEvaluator.log_phi_grid
 
     def counting(self, r):
-        sizes.append(np.size(r))
+        calls.append(("log_phi", np.size(r)))
         return log_phi(self, r)
 
+    def counting_grid(self, mid, off):
+        calls.append(("grid", np.size(mid)))
+        return log_phi_grid(self, mid, off)
+
     monkeypatch.setattr(PhiEvaluator, "log_phi", counting)
-    return sizes
+    monkeypatch.setattr(PhiEvaluator, "log_phi_grid", counting_grid)
+    return calls
 
 
 def test_c2_constant_evaluates_each_radius_once(monkeypatch):
     ev = PhiEvaluator(2)
-    sizes = _count_radii(monkeypatch)
+    calls = _count_evaluations(monkeypatch)
     c2_constant(ev, 1.5, 1.0)
-    # 102 lattice panels of 16 nodes cover [0, 51]; no partial panel
-    assert sizes == [1632]
+    # 102 lattice panels of 16 nodes cover [0, 51], all below r_switch, so
+    # one grid call takes every radius; no partial panel
+    assert calls == [("grid", 102)]
 
 
 def test_c2_constant_off_lattice_adds_one_panel_per_t(monkeypatch):
     ev = PhiEvaluator(2)
-    sizes = _count_radii(monkeypatch)
+    calls = _count_evaluations(monkeypatch)
     c2_constant(ev, 1.5, 1.3)
-    lattice = 16 * math.floor((1.3 + 50.0) / 0.5)
-    assert len(sizes) == 2
-    assert sum(sizes) <= lattice + 16 * 101
+    assert calls[0] == ("grid", math.floor((1.3 + 50.0) / 0.5))
+    # one log_phi call for the partial panels, at most one per t
+    assert len(calls) == 2 and calls[1][0] == "log_phi"
+    assert calls[1][1] <= 16 * 101
+
+
+def _lattice_nodes(ev: PhiEvaluator) -> tuple[np.ndarray, np.ndarray]:
+    # the lattice panels' midpoints up to 200.75 (the last two rows past
+    # r_switch = 200), then one row straddling r_switch and two far past it;
+    # the offsets are the 16 scaled Gauss nodes
+    x, _ = np.polynomial.legendre.leggauss(16)
+    mid = np.concatenate((0.5 * np.arange(402) + 0.25,
+                          [ev.r_switch, 250.0, 1e4]))
+    return mid, 0.25 * x
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
+def test_log_phi_grid_matches_log_phi(n):
+    ev = PhiEvaluator(n)
+    mid, off = _lattice_nodes(ev)
+    r = mid[:, None] + off[None, :]
+    want = ev.log_phi(r.ravel()).reshape(r.shape)
+    got = ev.log_phi_grid(mid, off)
+    assert np.max(np.abs(got / want - 1.0)) <= 1e-13
+    # rows with a radius past r_switch, and every row at n = 1, are log_phi's
+    past = np.any(r > ev.r_switch, axis=1) | (n == 1)
+    assert np.count_nonzero(past) == (mid.size if n == 1 else 5)
+    assert np.array_equal(got[past], want[past])
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_log_phi_grid_rows_independent_of_row_count(n):
+    # holder_ratio's equality with psi_holder_norm at each t rests on this:
+    # a row sums to the same bits whatever the number of rows
+    ev = PhiEvaluator(n)
+    mid, off = _lattice_nodes(ev)
+    whole = ev.log_phi_grid(mid, off)
+    for k in range(1, mid.size):
+        assert np.array_equal(ev.log_phi_grid(mid[:k], off), whole[:k])
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("bad", [-1.0, math.inf, math.nan])
+def test_log_phi_grid_refuses_bad_radii(n, bad):
+    with pytest.raises(ValueError, match="nonnegative|finite"):
+        PhiEvaluator(n).log_phi_grid(np.array([1.0, bad]), np.array([0.0]))
