@@ -207,8 +207,14 @@ def cmd_sequences(cfg: dict) -> int:
     states = iterate(config, cfg["jmax"])
     rows = []
     for st in states:
-        lo_u, lo_v = (log_lower_bounds(st.j, config, bounds) if st.j % 2 == 1
-                      else (None, None))
+        lo_u = lo_v = None
+        if st.j % 2 == 1:
+            lo_u, lo_v = log_lower_bounds(st.j, config, bounds)
+            if not (math.isfinite(lo_u) and math.isfinite(lo_v)):
+                raise ValueError(
+                    f"j_max {cfg['jmax']} is past j = {st.j - 1}, the last "
+                    "index before the certified lower bounds leave the float "
+                    f"range at pq = {params.pq!r}")
         ok = closed_form_deviation(st, config) <= 1e-10  # NaN fails
         rows.append((st.j, st.ell, st.L, st.alpha, st.a, st.beta, st.b,
                      st.log_d, st.log_q, lo_u, lo_v, "ok" if ok else "FAIL"))

@@ -12,10 +12,10 @@ the light cone never reaches.  Leapfrog on it is stable for
 cfl < cfl_max(n), about sqrt(2/n) for n >= 6; make_initial_data refuses
 larger cfl.
 
-One leapfrog loop, `_march`, steps and measures only the exact nonzero span
-of the solution (see RadialField.span), in buffers allocated once per field;
-every value equals that of the whole-grid computation bit for bit, the
-quadratures summing the span.  The level
+One leapfrog loop, `_march`, steps and measures only the exact nonzero
+prefix of the grid (see RadialField.end), in buffers allocated once per
+field; every value equals that of the whole-grid computation bit for bit,
+the quadratures summing the prefix.  The level
 arrays may carry a trailing epsilon axis, shape (nodes, k): `blowup_times`
 marches a whole ladder of amplitudes that way, one column per epsilon, and
 `run` marches one column with an observer that records the diagnostics, so
@@ -111,14 +111,14 @@ class RadialField:
     boolean mask on axis 1, a[:, keep], returns Fortran order; _march
     retires columns with a.compress(keep, axis=1), which returns C order).
 
-    span = (lo, hi) says that nodes lo..hi-1 hold every nonzero of u,
-    u_prev, v and v_prev (in any column): the whole grid at construction,
-    narrowed to the exact nonzero span by _march, and trimmed to it by
-    every step.  step, functionals and support_radius work on those nodes
-    only, so a caller that sets the levels afterwards must leave the span
-    covering their nonzeros, and the sources step is given must vanish
-    outside the span widened by one node.  functionals and support_radius
-    take 1-D levels only.
+    end says that nodes end.. are zero in u, u_prev, v and v_prev, in every
+    column (data in r <= R stay in r <= R + t, the scheme's dust a few nodes
+    ahead): the whole grid at construction, narrowed to the exact nonzero
+    prefix by _march, and trimmed to it by every step.  step, functionals
+    and support_radius work on the prefix only, so a caller that sets the
+    levels afterwards must leave it covering their nonzeros, and the
+    sources step is given must vanish past it widened by one node.
+    functionals and support_radius take 1-D levels only.
     """
 
     n: int
@@ -131,11 +131,11 @@ class RadialField:
     v: np.ndarray
     v_prev: np.ndarray
     k: int = 0           # completed steps; current time = k * dt
-    span: tuple[int, int] = field(init=False)
+    end: int = field(init=False)
     work: _Work = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        self.span = (0, self.x.size)
+        self.end = self.x.size
         self.work = _Work(self.n, self.h, self.dt, self.x, self.u.shape)
 
     @property
@@ -157,7 +157,7 @@ class _Work:
     arrays, and step's are repeated in every column of a batch (a broadcast
     (nodes, 1) operand makes numpy loop over the few columns, ~5x slower).
 
-    src_u, src_v (the sources |v|^p, |u|^q) are zero outside the span, where
+    src_u, src_v (the sources |v|^p, |u|^q) are zero past the prefix, where
     step reads them one node beyond it: step zeroes the nodes it trims.  lap
     and acc are step's scratch, free between steps: _march forms |u| and |v|
     in them.  mask_u and mask_v serve support_radius, which takes 1-D levels
@@ -266,23 +266,21 @@ def cfl_max(n: int) -> float:
 
 
 def _three_point(coefs, f: np.ndarray, o: np.ndarray, t: np.ndarray,
-                 a: int, b: int) -> np.ndarray:
-    """o = lower f_{i-1} + diag f_i + upper f_{i+1} on rows a..b-1, b below
-    the Dirichlet row, for o = out[a:b] with scratch t = tmp[a:b]; returns
-    o.  The origin row has no lower term, except the even ghost
-    f_{-1} = f_1 of float (n = 1) coefficients."""
+                 b: int) -> None:
+    """o = lower f_{i-1} + diag f_i + upper f_{i+1} on rows 0..b-1, 0 < b
+    below the Dirichlet row, for o = out[:b] with scratch t = tmp[:b].  The
+    origin row has no lower term, except the even ghost f_{-1} = f_1 of
+    float (n = 1) coefficients."""
     lower, diag, upper = coefs[:3]
     per_node = isinstance(diag, np.ndarray)
-    np.multiply(diag[a:b] if per_node else diag, f[a:b], out=o)
-    np.add(o, np.multiply(upper[a:b] if per_node else upper, f[a + 1:b + 1],
+    np.multiply(diag[:b] if per_node else diag, f[:b], out=o)
+    np.add(o, np.multiply(upper[:b] if per_node else upper, f[1:b + 1],
                           out=t), out=o)
-    if a == 0:
-        if not per_node:
-            o[0] += lower * f[1]
-        a, o, t = 1, o[1:], t[1:]
-    np.add(o, np.multiply(lower[a:b] if per_node else lower, f[a - 1:b - 1],
+    if not per_node:
+        o[0] += lower * f[1]
+    o, t = o[1:], t[1:]
+    np.add(o, np.multiply(lower[1:b] if per_node else lower, f[:b - 1],
                           out=t), out=o)
-    return o
 
 
 def laplacian(field: RadialField, f: np.ndarray) -> np.ndarray:
@@ -290,7 +288,7 @@ def laplacian(field: RadialField, f: np.ndarray) -> np.ndarray:
     a new array; zero on the Dirichlet row at r_max."""
     out = np.zeros_like(f)
     b = f.shape[0] - 1
-    _three_point(field.work.stencil, f, out[:b], np.empty(b), 0, b)
+    _three_point(field.work.stencil, f, out[:b], np.empty(b), b)
     return out
 
 
@@ -378,94 +376,86 @@ def step(field: RadialField, params: ProblemParams, src_u: np.ndarray,
     u_next and v_next are written into the u_prev and v_prev arrays, which
     then become field.u and field.v.
 
-    Only field.span widened by one node per side is computed (the stencil
-    is 3-point), so src_u / src_v must vanish outside it; the span is then
-    trimmed of edge nodes where all four levels are zero: ahead of the light
-    cone the scheme's dust underflows to zero, so the span stays close to
+    Only the prefix field.end widened by one node is computed (the stencil
+    is 3-point), so src_u / src_v must vanish past it; the prefix is then
+    trimmed of top nodes where all four levels are zero: ahead of the light
+    cone the scheme's dust underflows to zero, so the prefix stays close to
     the cone.
     """
     size = field.x.size
-    a, b = max(field.span[0] - 1, 0), min(field.span[1] + 1, size)
-    # rows a..b1-1: the Dirichlet row stays zero
+    b = min(field.end + 1, size)
+    # rows 0..b1-1: the Dirichlet row stays zero
     b1 = min(b, size - 1)
     wk = field.work
-    o, t = wk.acc[a:b1], wk.lap[a:b1]
+    o, t = wk.acc[:b1], wk.lap[:b1]
 
     coef = wk.coef_u
-    _three_point(coef, field.u, o, t, a, b1)
-    np.add(o, np.multiply(coef[3], src_u[a:b1], out=t), out=o)
-    u_prev = field.u_prev[a:b1]
+    _three_point(coef, field.u, o, t, b1)
+    np.add(o, np.multiply(coef[3], src_u[:b1], out=t), out=o)
+    u_prev = field.u_prev[:b1]
     np.add(o, np.multiply(coef[4], u_prev, out=u_prev), out=u_prev)
 
     coef = wk.coef_v
-    _three_point(coef, field.v, o, t, a, b1)
-    np.add(o, np.multiply(coef[3], src_v[a:b1], out=t), out=o)
-    v_prev = field.v_prev[a:b1]
+    _three_point(coef, field.v, o, t, b1)
+    np.add(o, np.multiply(coef[3], src_v[:b1], out=t), out=o)
+    v_prev = field.v_prev[:b1]
     np.subtract(o, v_prev, out=v_prev)
 
     field.u_prev[-1] = field.v_prev[-1] = 0.0
     field.u_prev, field.u = field.u, field.u_prev
     field.v_prev, field.v = field.v, field.v_prev
     field.k += 1
-    field.span = _trim(field, a, b)
+    field.end = _trim(field, b)
 
 
-def _trim(field: RadialField, a: int, b: int) -> tuple[int, int]:
-    """Shrink nodes a..b-1 to the exact nonzero span of the four levels and
-    zero the trimmed nodes of the sources, which must vanish outside it."""
+def _trim(field: RadialField, b: int) -> int:
+    """Trim the prefix 0..b-1 to the exact nonzero prefix of the four levels
+    and zero the trimmed nodes of the sources, which must vanish past it."""
     u, u_prev, v, v_prev = field.u, field.u_prev, field.v, field.v_prev
-    lo, hi = a, b
+    end = b
     if u.ndim == 1:
         # a float is falsy exactly when it is +-0.0 (nan is truthy); a
         # scalar test, since .any() on a scalar costs far more
-        while lo < hi and not (u[hi - 1] or u_prev[hi - 1] or v[hi - 1]
-                               or v_prev[hi - 1]):
-            hi -= 1
-        while lo < hi and not (u[lo] or u_prev[lo] or v[lo] or v_prev[lo]):
-            lo += 1
+        while end and not (u[end - 1] or u_prev[end - 1] or v[end - 1]
+                           or v_prev[end - 1]):
+            end -= 1
     else:
         # count_nonzero: the cheapest row test (nan counts)
         nz = np.count_nonzero
-        while lo < hi and not (nz(u[hi - 1]) or nz(u_prev[hi - 1])
-                               or nz(v[hi - 1]) or nz(v_prev[hi - 1])):
-            hi -= 1
-        while lo < hi and not (nz(u[lo]) or nz(u_prev[lo]) or nz(v[lo])
-                               or nz(v_prev[lo])):
-            lo += 1
-    if lo > a or hi < b:
+        while end and not (nz(u[end - 1]) or nz(u_prev[end - 1])
+                           or nz(v[end - 1]) or nz(v_prev[end - 1])):
+            end -= 1
+    if end < b:
         for buf in (field.work.src_u, field.work.src_v):
-            buf[a:lo] = 0.0
-            buf[hi:b] = 0.0
-    return lo, hi
+            buf[end:b] = 0.0
+    return end
 
 
-def _nonzero_span(field: RadialField) -> tuple[int, int]:
+def _nonzero_end(field: RadialField) -> int:
     nonzero = ((field.u != 0.0) | (field.u_prev != 0.0)
                | (field.v != 0.0) | (field.v_prev != 0.0))
     rows = np.flatnonzero(nonzero.reshape(nonzero.shape[0], -1).any(axis=1))
-    if rows.size == 0:
-        return 0, 0
-    return int(rows[0]), int(rows[-1]) + 1
+    return int(rows[-1]) + 1 if rows.size else 0
 
 
 def functionals(field: RadialField, w_phi: np.ndarray, log_phi: np.ndarray):
     """(U, V, V1) = (integral u, integral v, integral v * e^{-t} Phi), summed
-    over field.span.
+    over the prefix field.end.
 
     w_phi = field.w * Phi(field.x) on the first nodes of the grid: all of
     them, or those below the radius where V1 forms e^{-t} Phi in log space
     instead, as exp(log_phi - t) with log_phi = log Phi(field.x) (read on
-    span nodes past w_phi only).  Phi overflows past r ~ 709, and
+    prefix nodes past w_phi only).  Phi overflows past r ~ 709, and
     w * v * Phi sooner, while the log form stays finite (see run)."""
-    lo, hi = field.span
+    end = field.end
     w, v = field.w, field.v
-    U = float(w[lo:hi] @ field.u[lo:hi])
-    V = float(w[lo:hi] @ v[lo:hi])
-    j = min(max(lo, w_phi.size), hi)
-    V1 = math.exp(-field.t) * float(w_phi[lo:j] @ v[lo:j])
-    if j < hi:
-        tail = np.exp(log_phi[j:hi] - field.t)
-        V1 += float(w[j:hi] @ np.multiply(v[j:hi], tail, out=tail))
+    U = float(w[:end] @ field.u[:end])
+    V = float(w[:end] @ v[:end])
+    j = min(w_phi.size, end)
+    V1 = math.exp(-field.t) * float(w_phi[:j] @ v[:j])
+    if j < end:
+        tail = np.exp(log_phi[j:end] - field.t)
+        V1 += float(w[j:end] @ np.multiply(v[j:end], tail, out=tail))
     return U, V, V1
 
 
@@ -481,26 +471,21 @@ def support_radius(field: RadialField, mags) -> float:
     to t = 5 (test_support_containment_within_two_h), but 2h is not a bound
     in general: 3.1h was measured at n = 3, h = 0.01, t = 40 (the benchmark's
     radial-n3 workload).  A transport or stencil bug would still blast far
-    through it.  mags = (|u|, |v|, max|u|, max|v|) on field.span, which the
-    caller (_march) has already.
+    through it.  mags = (|u|, |v|, max|u|, max|v|) on the prefix field.end,
+    which the caller (_march) has already.  A zero or nan maximum leaves its
+    component's mask all False: no magnitude compares above it.
     """
-    lo, hi = field.span
+    end = field.end
+    if end == 0:
+        return 0.0
     abs_u, abs_v, m_u, m_v = mags
     floor = field.h * field.h * (1.0 + field.t)
-    mask_u, mask_v = field.work.mask_u[lo:hi], field.work.mask_v[lo:hi]
-    if m_u > 0.0:
-        mask = np.greater(abs_u, floor * m_u, out=mask_u)
-        if m_v > 0.0:
-            np.logical_or(mask, np.greater(abs_v, floor * m_v, out=mask_v),
-                          out=mask)
-    elif m_v > 0.0:
-        mask = np.greater(abs_v, floor * m_v, out=mask_v)
-    else:
-        return 0.0
-    last = mask.size - 1 - int(mask[::-1].argmax())
-    if not mask[last]:
-        return 0.0
-    return float(field.x[lo + last])
+    wk = field.work
+    mask = np.greater(abs_u, floor * m_u, out=wk.mask_u[:end])
+    np.logical_or(mask, np.greater(abs_v, floor * m_v, out=wk.mask_v[:end]),
+                  out=mask)
+    last = end - 1 - int(mask[::-1].argmax())
+    return float(field.x[last]) if mask[last] else 0.0
 
 
 def _cumtrapz(f: np.ndarray, dt: float) -> np.ndarray:
@@ -585,7 +570,7 @@ def run(params: ProblemParams, spec: InitialDataSpec,
     Blow-up is flagged the first time max|u| + max|v| crosses the threshold
     (or any value goes non-finite), by the test blowup_times uses too.  The
     reported time is threshold-dependent by design.  The record of each time
-    level, the crossing one included, is taken on the exact nonzero span
+    level, the crossing one included, is taken on the exact nonzero prefix
     (see _march).
     """
     fld, moments = make_initial_data(params, spec, numerics)
@@ -602,11 +587,11 @@ def run(params: ProblemParams, spec: InitialDataSpec,
 
     def observe(fld: RadialField, mags) -> None:
         nonlocal excess
-        lo, hi = fld.span
+        end = fld.end
         t, wk = fld.t, fld.work
         record.extend((t, *functionals(fld, w_phi, log_phi), mags[2], mags[3],
-                       float(w[lo:hi] @ wk.src_u[lo:hi]),
-                       float(w[lo:hi] @ wk.src_v[lo:hi])))
+                       float(w[:end] @ wk.src_u[:end]),
+                       float(w[:end] @ wk.src_v[:end])))
         reach = params.R + t
         excess = max(excess, support_radius(fld, mags) - reach)
 
@@ -642,8 +627,8 @@ def _march(fld: RadialField, params: ProblemParams, numerics: Numerics,
     time of each column (None where it reaches t_max), one entry for 1-D
     levels.
 
-    Stepping covers the exact nonzero span of the levels.  At each time level
-    |u| and |v| are formed once on the span, into work.lap and work.acc, and
+    Stepping covers the exact nonzero prefix of the levels.  At each time
+    level |u| and |v| are formed once on it, into work.lap and work.acc, and
     the columns that crossed are retired.  The per-column maxima are formed
     only when the maxima over all columns cross: rounding is monotone, so no
     column can cross before that.  Then the sources are formed and, if given,
@@ -659,17 +644,17 @@ def _march(fld: RadialField, params: ProblemParams, numerics: Numerics,
     cols = list(range(fld.u.shape[1] if fld.u.ndim == 2 else 1))
     t_blowup: list[float | None] = [None] * len(cols)
     n_steps = int(round(numerics.t_max / fld.dt))
-    fld.span = _nonzero_span(fld)
+    fld.end = _nonzero_end(fld)
 
     for k in range(n_steps + 1):
-        lo, hi = fld.span
+        end = fld.end
         wk = fld.work
-        abs_u = np.abs(fld.u[lo:hi], out=wk.lap[lo:hi])
-        abs_v = np.abs(fld.v[lo:hi], out=wk.acc[lo:hi])
+        abs_u = np.abs(fld.u[:end], out=wk.lap[:end])
+        abs_v = np.abs(fld.v[:end], out=wk.acc[:end])
         m_u, m_v = _max(abs_u), _max(abs_v)
         if _crossed(m_u, m_v, numerics.threshold):
             # rows are nodes and columns the live epsilons, 1-D levels too
-            col_u, col_v = (np.maximum.reduce(a.reshape(hi - lo, len(cols)),
+            col_u, col_v = (np.maximum.reduce(a.reshape(end, len(cols)),
                                               axis=0, initial=0.0).tolist()
                             for a in (abs_u, abs_v))
             done = [_crossed(a, b, numerics.threshold)
@@ -685,8 +670,8 @@ def _march(fld: RadialField, params: ProblemParams, numerics: Numerics,
                             getattr(fld, name).compress(keep, axis=1))
                 fld.work = wk = _Work(fld.n, fld.h, fld.dt, fld.x,
                                       fld.u.shape)
-        _pow_abs(fld.v[lo:hi], params.p, out=wk.src_u[lo:hi])
-        _pow_abs(fld.u[lo:hi], params.q, out=wk.src_v[lo:hi])
+        _pow_abs(fld.v[:end], params.p, out=wk.src_u[:end])
+        _pow_abs(fld.u[:end], params.q, out=wk.src_v[:end])
         if observe is not None:
             observe(fld, (abs_u, abs_v, m_u, m_v))
         if not cols or k == n_steps:

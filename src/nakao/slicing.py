@@ -194,7 +194,8 @@ def step(state: SlicingState, config: IterationConfig) -> SlicingState:
 
 def iterate(config: IterationConfig, j_max: int) -> list[SlicingState]:
     """States j = 1 .. j_max by repeated stepping.  Refuses a j_max past
-    last_finite_j(config), where the exponents leave the float range."""
+    last_finite_j(config), where the exponents leave the float range, and
+    one past the last state whose log D_j and log Q_j are finite."""
     if j_max < 1:
         raise ValueError(f"j_max must be >= 1, got {j_max}")
     last = last_finite_j(config)
@@ -202,10 +203,17 @@ def iterate(config: IterationConfig, j_max: int) -> list[SlicingState]:
         raise ValueError(
             f"j_max {j_max} is past j = {last}, the last index whose "
             f"closed-form exponents are finite at pq = {config.params.pq!r}")
-    states = [initial_state(config)]
-    while states[-1].j < j_max:
-        states.append(step(states[-1], config))
-    return states
+    states, state = [], initial_state(config)
+    while True:
+        if not (math.isfinite(state.log_d) and math.isfinite(state.log_q)):
+            raise ValueError(
+                f"j_max {j_max} is past j = {state.j - 1}, the last index "
+                f"whose log D_j and log Q_j are finite at "
+                f"pq = {config.params.pq!r}")
+        states.append(state)
+        if state.j == j_max:
+            return states
+        state = step(state, config)
 
 
 # ---------------------------------------------------------------------------

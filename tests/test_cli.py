@@ -178,12 +178,19 @@ def test_overflowing_iteration_constants_exit_2(tmp_path, capsys, argv):
 
 
 @pytest.mark.parametrize("argv,last", [
+    # an OverflowError traceback (exit 1) from pq ** (j / 2.0) in even_beta_b
     (["--p", "1e10", "--q", "1e10"], 31),
     (["--p", "10", "--q", "10", "--jmax", "400"], 309),
     (["--p", "2", "--q", "2", "--jmax", "1200"], 1023),
+    # exit 0 with a last row of -inf logD_j, logD_lower and logQ_lower,
+    # marked ok
+    (["--p", "10", "--q", "10", "--jmax", "309"], 308),
+    # exit 0 with a last row of -inf logQ_j, marked ok
+    (["--p", "2", "--q", "2", "--mode", "direct", "--jmax", "1022"], 1021),
+    # exit 0 with a last row of -inf logD_lower, logD_j still finite
+    (["--p", "1.5", "--q", "1.2", "--jmax", "2405"], 2404),
 ])
 def test_sequences_jmax_past_float_range_exit_2(tmp_path, capsys, argv, last):
-    # an OverflowError traceback (exit 1) from pq ** (j / 2.0) in even_beta_b
     assert dispatch(["sequences", "--n", "1", *argv,
                      "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err

@@ -6,7 +6,7 @@ import pytest
 
 from nakao.params import ProblemParams, sphere_area
 from nakao.pde import (BlowupReason, InitialDataSpec, Numerics, RadialField,
-                       _march, _nonzero_span, _pow_abs, _stacked_initial_data,
+                       _march, _nonzero_end, _pow_abs, _stacked_initial_data,
                        balance_residuals, blowup_times, cfl_max, functionals,
                        laplacian, make_field, make_initial_data, profile, run,
                        step, support_radius)
@@ -32,7 +32,7 @@ def test_zero_data_is_fixed_point():
 def test_initial_data_support_and_linearity():
     num = Numerics(h=0.02, cfl=0.45, t_max=1.0)
     fld, _ = make_initial_data(P122, SPEC, num)
-    assert fld.x[_nonzero_span(fld)[1] - 1] <= P122.R + num.h
+    assert fld.x[_nonzero_end(fld) - 1] <= P122.R + num.h
     fld2, _ = make_initial_data(
         ProblemParams(1, 2.0, 2.0, R=1.0, epsilon=0.4), SPEC, num)
     # the t=0 level scales exactly linearly with eps
@@ -388,12 +388,12 @@ def test_n8_no_false_blowup():
     assert trace.max_u.max() + trace.max_v.max() < 1.0
 
 
-# --- span stepping against the whole-grid reference ------------------------
+# --- prefix stepping against the whole-grid reference ----------------------
 # The reference below is whole-grid arithmetic with the field's own
 # three-point coefficients: every array allocated afresh, every pass over the
 # whole grid, the origin row with its even ghost at n = 1 (float
-# coefficients) and no inner face for n >= 2, the Dirichlet rows zero.  Span
-# stepping must reproduce it bit for bit.  The coefficients themselves are
+# coefficients) and no inner face for n >= 2, the Dirichlet rows zero.
+# Prefix stepping must reproduce it bit for bit.  The coefficients themselves are
 # checked against the cell-volume formula in test_stencil_matches_cell_volumes.
 
 def _ref_three_point(coefs, f, ghost=True):
@@ -483,10 +483,13 @@ def _ref_run(params, spec, numerics, full_line=False):
     for k in range(n_steps + 1):
         pow_v = _ref_pow_abs(fld.v, params.p)
         pow_u = _ref_pow_abs(fld.u, params.q)
-        # the quadratures sum the exact nonzero span of the four levels
+        # the quadratures sum the exact nonzero prefix [0, hi) of the four
+        # levels; the retired full-interval layout, its two-sided span
         nonzero = np.flatnonzero((fld.u != 0.0) | (fld.u_prev != 0.0)
                                  | (fld.v != 0.0) | (fld.v_prev != 0.0))
         lo, hi = (nonzero[0], nonzero[-1] + 1) if nonzero.size else (0, 0)
+        if not full_line:
+            lo = 0
         w = fld.w[lo:hi]
         U, V = float(w @ fld.u[lo:hi]), float(w @ fld.v[lo:hi])
         m_u = float(np.max(np.abs(fld.u)))
@@ -538,11 +541,11 @@ EQUIVALENCE_CASES = {
     "n2-zero-data": (ProblemParams(2, 2.0, 2.0), ZERO,
                      Numerics(h=0.05, t_max=2.0), BlowupReason.NONE),
     # u starts at zero and v carries the data, so the four levels have
-    # different supports at the span's edges
+    # different supports at the prefix's end
     "n1-v-data-only": (ProblemParams(1, 2.0, 2.0, epsilon=0.5),
                        InitialDataSpec(amp_u0=0.0, amp_u1=0.0),
                        Numerics(h=0.05, t_max=4.0), BlowupReason.NONE),
-    # the scheme's dust (and hence the span) runs ahead of the light cone
+    # the scheme's dust (and hence the prefix) runs ahead of the light cone
     # and reaches the Dirichlet wall, ten nodes past the cone at t_max
     "n2-wall": (ProblemParams(2, 2.0, 2.0, epsilon=0.1), SPEC,
                 Numerics(h=0.05, t_max=6.0), BlowupReason.NONE),
@@ -635,62 +638,64 @@ def test_whole_grid_step_matches_reference(n, coupling):
 def test_span_stays_exact_and_sources_vanish_outside(n):
     params = ProblemParams(n, 2.0, 2.0, epsilon=0.3)
     fld, _ = make_initial_data(params, SPEC, Numerics(h=0.05, t_max=8.0))
-    # the constructor's span, the whole grid: the first step trims it
-    assert fld.span == (0, fld.x.size) != _nonzero_span(fld)
+    # the constructor's prefix, the whole grid: the first step trims it
+    assert fld.end == fld.x.size != _nonzero_end(fld)
     wk = fld.work
     for _ in range(300):
-        lo, hi = fld.span
-        _pow_abs(fld.v[lo:hi], params.p, out=wk.src_u[lo:hi])
-        _pow_abs(fld.u[lo:hi], params.q, out=wk.src_v[lo:hi])
+        end = fld.end
+        _pow_abs(fld.v[:end], params.p, out=wk.src_u[:end])
+        _pow_abs(fld.u[:end], params.q, out=wk.src_v[:end])
         step(fld, params, src_u=wk.src_u, src_v=wk.src_v)
-        lo, hi = fld.span
-        assert fld.span == _nonzero_span(fld)
+        end = fld.end
+        assert end == _nonzero_end(fld)
         for buf in (wk.src_u, wk.src_v):
-            assert not buf[:lo].any() and not buf[hi:].any()
-    assert 0 < hi - lo < fld.x.size   # the span grew but stayed inside
+            assert not buf[end:].any()
+    assert 0 < end < fld.x.size   # the prefix grew but stayed inside
 
 
 def test_trim_zeroes_buffers_of_dropped_nodes():
-    # nodes that leave the span keep no stale source values, which step
-    # reads one node beyond the span; the quadratures sum the span only
+    # nodes that leave the prefix keep no stale source values, which step
+    # reads one node beyond the prefix; the quadratures sum the prefix only
     params = ProblemParams(1, 2.0, 2.0)
     fld = make_field(1, 0.1, 0.045, 3.0)
     c = fld.x.size // 2
     levels = ("u", "u_prev", "v", "v_prev")
     for name in levels:
         getattr(fld, name)[c - 5:c + 6] = 1.0
-    fld.span = _nonzero_span(fld)
-    lo, hi = fld.span
-    fld.work.src_u[lo:hi] = fld.work.src_v[lo:hi] = 1.0   # stale sources
+    fld.end = _nonzero_end(fld)
+    fld.work.src_u[:fld.end] = fld.work.src_v[:fld.end] = 1.0   # stale
     for name in levels:
         getattr(fld, name)[c - 5:c - 2] = 0.0
         getattr(fld, name)[c + 3:c + 6] = 0.0
     zero = np.zeros_like(fld.x)
     step(fld, params, zero, zero)
-    lo, hi = fld.span
-    assert (lo, hi) == _nonzero_span(fld) == (c - 3, c + 4)
+    end = fld.end
+    assert end == _nonzero_end(fld) == c + 4
     for buf in (fld.work.src_u, fld.work.src_v):
-        assert not buf[:lo].any() and not buf[hi:].any()
+        assert not buf[end:].any()
     U, V, V1 = functionals(fld, fld.w, np.zeros_like(fld.x))   # Phi = 1
-    assert V1 == math.exp(-fld.t) * float(fld.w[lo:hi] @ fld.v[lo:hi])
-    assert (U, V) == (float(fld.w[lo:hi] @ fld.u[lo:hi]),
-                      float(fld.w[lo:hi] @ fld.v[lo:hi]))
+    assert V1 == math.exp(-fld.t) * float(fld.w[:end] @ fld.v[:end])
+    assert (U, V) == (float(fld.w[:end] @ fld.u[:end]),
+                      float(fld.w[:end] @ fld.v[:end]))
 
 
 def test_support_radius_one_sided_data():
-    # data only beyond r = 0.5, so the mask and the span start past node 0
+    # data only in 0.5 < r < 2.5, so the mask starts past node 0 and the
+    # nonzero prefix ends short of the grid
     fld = make_field(1, 0.1, 0.045, 3.0)
-    fld.u = np.where(fld.x > 0.5, np.exp(-fld.x ** 2), 0.0)
+    fld.u = np.where((fld.x > 0.5) & (fld.x < 2.5), np.exp(-fld.x ** 2), 0.0)
     fld.v = 0.5 * fld.u
     expected = _ref_support_radius(fld)
 
-    def mags():   # |u|, |v| and their maxima on the span, as _march has them
-        lo, hi = fld.span
-        abs_u, abs_v = np.abs(fld.u[lo:hi]), np.abs(fld.v[lo:hi])
+    def mags():   # |u|, |v| and their maxima on the prefix, as _march has them
+        end = fld.end
+        abs_u, abs_v = np.abs(fld.u[:end]), np.abs(fld.v[:end])
         return abs_u, abs_v, float(abs_u.max()), float(abs_v.max())
 
+    assert fld.end == fld.x.size
     assert support_radius(fld, mags()) == expected
-    fld.span = _nonzero_span(fld)
+    fld.end = _nonzero_end(fld)
+    assert fld.end < fld.x.size
     assert support_radius(fld, mags()) == expected > 2.0
 
 

@@ -62,10 +62,11 @@ def test_tracer_hooks_read_simulate_and_sweep(monkeypatch, tmp_path):
     assert tracer.counts["lifespan.points"] == 4
 
 
-@pytest.mark.parametrize("workload", ["ladder", "region-csv"])
+@pytest.mark.parametrize("workload", ["ladder", "region-csv", "radial-n3"])
 def test_benchmark_ladder_smoke_is_correct(workload):
     # ladder: the benchmark's batched sweep, columns retiring mid-march,
-    # traced; region-csv: its perturbed boxes pass region_axes' checks
+    # traced; region-csv: its perturbed boxes pass region_axes' checks;
+    # radial-n3: the one workload that runs pde.run
     env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
