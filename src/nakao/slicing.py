@@ -174,10 +174,11 @@ def step(state: SlicingState, config: IterationConfig) -> SlicingState:
     pq = params.pq
     log_c0 = config.frame_constant_log()
     j = state.j
-    ell_next = slice_factor(j + 1, pq)
-    # log ell_{j+1} = log1p((pq)^{-j/2}): the plain log underflows to 0 once
-    # ell rounds to 1, dropping the order-one beta*log(ell) contribution
-    log_ell_next = math.log1p(pq ** (-j / 2.0))
+    x = pq ** (-j / 2.0)   # ell_{j+1} = 1 + x, as in slice_factor(j + 1, pq)
+    ell_next = 1.0 + x
+    # log ell_{j+1} = log1p(x): the plain log underflows to 0 once ell rounds
+    # to 1, dropping the order-one beta*log(ell) contribution
+    log_ell_next = math.log1p(x)
     beta_next = p * state.b + 1.0
     b_next = q * state.beta + 2.0
     log_d_next = (p * state.log_q + log_c0 + math.log(math.sqrt(pq) - 0.5)
@@ -193,23 +194,19 @@ def step(state: SlicingState, config: IterationConfig) -> SlicingState:
 
 
 def iterate(config: IterationConfig, j_max: int) -> list[SlicingState]:
-    """States j = 1 .. j_max by repeated stepping.  Refuses a j_max past
-    last_finite_j(config), where the exponents leave the float range, and
-    one past the last state whose log D_j and log Q_j are finite."""
+    """States j = 1 .. j_max by repeated stepping.  Refuses a j_max past the
+    last j whose state is finite: L_j, the four exponents, log D_j and
+    log Q_j all leave the float range at some j, L_j first near pq = 1."""
     if j_max < 1:
         raise ValueError(f"j_max must be >= 1, got {j_max}")
-    last = last_finite_j(config)
-    if j_max > last:
-        raise ValueError(
-            f"j_max {j_max} is past j = {last}, the last index whose "
-            f"closed-form exponents are finite at pq = {config.params.pq!r}")
     states, state = [], initial_state(config)
     while True:
-        if not (math.isfinite(state.log_d) and math.isfinite(state.log_q)):
+        if not all(map(math.isfinite, (state.L, state.alpha, state.a,
+                                       state.beta, state.b, state.log_d,
+                                       state.log_q))):
             raise ValueError(
                 f"j_max {j_max} is past j = {state.j - 1}, the last index "
-                f"whose log D_j and log Q_j are finite at "
-                f"pq = {config.params.pq!r}")
+                f"whose state is finite at pq = {config.params.pq!r}")
         states.append(state)
         if state.j == j_max:
             return states
@@ -247,47 +244,17 @@ def closed_form_exponents(j: int, config: IterationConfig):
 
 def even_beta_b(j: int, config: IterationConfig):
     """(beta_j, b_j) for even j, one recursion applied to the odd closed forms:
-    beta_j = (c_b + b_1)/q (pq)^{j/2} - c_beta, b_j = (c_beta + beta_1)/p (pq)^{j/2} - c_b."""
+    beta_j = (c_b + b_1) p (pq)^{j/2-1} - c_beta and
+    b_j = (c_beta + beta_1) q (pq)^{j/2-1} - c_b; (pq)^{j/2} itself can
+    leave the float range while beta_j and b_j are still finite."""
     if j < 2 or j % 2 == 1:
         raise ValueError(f"even forms cover even j >= 2 only, got {j}")
     params = config.params
     _, _, beta1, b1 = initial_exponents(config.init_mode, params)
-    g = params.pq ** (j / 2.0)
+    g = params.pq ** ((j - 2) / 2.0)
     c_beta, c_b = _geometric_coeffs(params)
-    return ((c_b + b1) / params.q * g - c_beta,
-            (c_beta + beta1) / params.p * g - c_b)
-
-
-def last_finite_j(config: IterationConfig) -> int:
-    """Largest j such that the closed-form exponents of every index up to j
-    are finite: closed_form_exponents at odd indices, even_beta_b at even.
-
-    Both grow like (pq)^{j/2} (all their coefficients are positive), so
-    within one parity they are finite up to some index and not after it.
-    Each parity's first index past the float range is found by doubling
-    the step from its first index, then bisecting.
-    """
-    def finite(j: int) -> bool:
-        try:
-            forms = (closed_form_exponents(j, config) if j % 2 == 1
-                     else even_beta_b(j, config))
-        except OverflowError:   # the power of pq itself
-            return False
-        return all(map(math.isfinite, forms))
-
-    def first_past(j: int) -> int:
-        below, at = j - 2, j   # below: finite, or before the first index
-        while finite(at):
-            below, at = at, at + 2 * (at - below)
-        while at - below > 2:
-            mid = below + 2 * ((at - below) // 4)
-            if finite(mid):
-                below = mid
-            else:
-                at = mid
-        return at
-
-    return min(first_past(1), first_past(2)) - 1
+    return ((c_b + b1) * params.p * g - c_beta,
+            (c_beta + beta1) * params.q * g - c_b)
 
 
 def closed_form_deviation(state: SlicingState, config: IterationConfig) -> float:

@@ -180,8 +180,10 @@ def test_overflowing_iteration_constants_exit_2(tmp_path, capsys, argv):
 @pytest.mark.parametrize("argv,last", [
     # an OverflowError traceback (exit 1) from pq ** (j / 2.0) in even_beta_b
     (["--p", "1e10", "--q", "1e10"], 31),
-    (["--p", "10", "--q", "10", "--jmax", "400"], 309),
-    (["--p", "2", "--q", "2", "--jmax", "1200"], 1023),
+    # refused in two steps: 309 and 1023, the last j with finite
+    # closed-form exponents, were named first and then refused in turn
+    (["--p", "10", "--q", "10", "--jmax", "400"], 308),
+    (["--p", "2", "--q", "2", "--jmax", "1200"], 1022),
     # exit 0 with a last row of -inf logD_j, logD_lower and logQ_lower,
     # marked ok
     (["--p", "10", "--q", "10", "--jmax", "309"], 308),
@@ -189,14 +191,25 @@ def test_overflowing_iteration_constants_exit_2(tmp_path, capsys, argv):
     (["--p", "2", "--q", "2", "--mode", "direct", "--jmax", "1022"], 1021),
     # exit 0 with a last row of -inf logD_lower, logD_j still finite
     (["--p", "1.5", "--q", "1.2", "--jmax", "2405"], 2404),
+    # exit 0 with 850 rows of L_j = inf, marked ok: the product of slice
+    # factors leaves the float range first
+    (["--p", "1.001", "--q", "1.001", "--jmax", "3000"], 2150),
 ])
 def test_sequences_jmax_past_float_range_exit_2(tmp_path, capsys, argv, last):
-    assert dispatch(["sequences", "--n", "1", *argv,
-                     "--out", str(tmp_path / "o")]) == 2
+    out = tmp_path / "o"
+    assert dispatch(["sequences", "--n", "1", *argv, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: j_max") and f"past j = {last}, " in err
     assert err.count("\n") == 1
     assert not list(tmp_path.iterdir())
+    # one step: the j the error names is accepted (the later --jmax wins),
+    # and every row it writes is finite and agrees with the closed forms
+    assert dispatch(["sequences", "--n", "1", *argv, "--jmax", str(last),
+                     "--out", str(out)]) == 0
+    _, _, rows = read_csv(f"{out}.csv")
+    assert [int(row[0]) for row in rows] == list(range(1, last + 1))
+    cells = {cell for row in rows for cell in row}
+    assert not cells & {"inf", "-inf", "nan", "FAIL"}
 
 
 def test_invalid_params_exit_2(tmp_path):

@@ -1,15 +1,16 @@
 import math
+import re
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from nakao.params import ProblemParams
+from nakao.params import ProblemParams, admissible_cap
 from nakao.slicing import (ConstantMode, DataConstants, InitMode,
                            IterationConfig, closed_form_deviation,
                            closed_form_exponents, even_beta_b, initial_state,
-                           iterate, iteration_bounds, last_finite_j,
+                           iterate, iteration_bounds,
                            lifespan_upper_bound, log_lower_bounds,
                            product_limit, slice_factor, step, thresholds)
 
@@ -141,39 +142,61 @@ def test_closed_forms_match_recursion(n, p, q, mode):
             assert ebb == pytest.approx(s.b, rel=1e-10)
 
 
-def _first_non_finite_j(cfg) -> int:
-    # the plain scan that last_finite_j's doubling search must agree with
-    j = 1
-    while True:
-        try:
-            forms = (closed_form_exponents(j, cfg) if j % 2 == 1
-                     else even_beta_b(j, cfg))
-        except OverflowError:
-            return j
-        if not all(map(math.isfinite, forms)):
-            return j
-        j += 1
+def _finite_state(s) -> bool:
+    return all(map(math.isfinite, (s.L, s.alpha, s.a, s.beta, s.b, s.log_d,
+                                   s.log_q)))
 
 
-@pytest.mark.parametrize("n,p,q,last", [
-    (1, 1e10, 1e10, (31, 30)), (1, 10.0, 10.0, (309, 308)),
-    (1, 2.0, 2.0, (1023, 1022)), (3, 1.5, 1.5, (1747, 1747)),
-    (1, 1e150, 1.5, (5, 4))])
-def test_last_finite_j_is_the_edge_of_the_float_range(n, p, q, last):
-    # the exponents grow like (pq)^{j/2}, so they leave the float range near
-    # j = 2 * 709.78 / log(pq); past it pq ** (j / 2.0) raised an
-    # OverflowError in even_beta_b.  last: (eigenfunction, direct)
-    for mode, want in zip(InitMode, last):
+def _last_finite_by_stepping(cfg) -> int:
+    # the plain scan: step until a state leaves the float range
+    state = initial_state(cfg)
+    while _finite_state(state):
+        state = step(state, cfg)
+    return state.j - 1
+
+
+def _assert_refused_past(cfg, last):
+    states = iterate(cfg, last)
+    assert [s.j for s in states] == list(range(1, last + 1))
+    assert all(map(_finite_state, states))
+    # the closed forms must not fail before the state does
+    assert all(closed_form_deviation(s, cfg) <= 1e-10 for s in states)
+    with pytest.raises(ValueError, match=f"past j = {last}, "):
+        iterate(cfg, last + 1)
+
+
+@pytest.mark.parametrize("n,p,q", [
+    (1, 1e10, 1e10), (1, 10.0, 10.0), (1, 2.0, 2.0), (3, 1.5, 1.5),
+    (1, 1e150, 1.5),
+    # (pq)^{j/2} overflows at j = 104 while beta_104 and b_104 are finite
+    (1, 1000.0, 875.125),
+    # L_j leaves the float range first: product_limit is +inf here
+    (1, 1.001, 1.001)])
+def test_iterate_refuses_past_the_last_finite_state(n, p, q):
+    # the exponents grow like (pq)^{j/2}, log D_j and log Q_j doubly
+    # exponentially and L_j as a product of slice factors, so every state
+    # sequence leaves the float range at some j
+    for mode in InitMode:
         cfg = _cfg(n, p, q, mode=mode)
-        assert last_finite_j(cfg) == want == _first_non_finite_j(cfg) - 1
-        with pytest.raises(ValueError, match=f"past j = {want}, "):
-            iterate(cfg, want + 1)
-        # the recursion's exponents are finite up to want; iterate itself
-        # may refuse sooner, where log D_j or log Q_j leaves the float range
-        state = initial_state(cfg)
-        while state.j < want:
-            state = step(state, cfg)
-        assert all(math.isfinite(x) for x in (state.beta, state.b))
+        _assert_refused_past(cfg, _last_finite_by_stepping(cfg))
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(min_value=1, max_value=5),
+       st.floats(min_value=0.0, max_value=1.0),
+       st.floats(min_value=0.0, max_value=1.0),
+       st.sampled_from(list(InitMode)))
+def test_refusal_names_an_accepted_j_property(n, u, v, mode):
+    # admissible p, q: p - 1 and q - 1 log-uniform from 0.01 up to
+    # min(cap, 1e3) - 1; pq >= 1.05 keeps a run to at most ~29k steps
+    top = min(admissible_cap(n), 1e3) - 1.0
+    p, q = (1.0 + 0.01 * (top / 0.01) ** w for w in (u, v))
+    assume(p * q >= 1.05)
+    cfg = _cfg(n, p, q, mode=mode)
+    with pytest.raises(ValueError, match="past j = ") as refusal:
+        iterate(cfg, 10**9)
+    last = int(re.search(r"past j = (\d+), ", str(refusal.value)).group(1))
+    _assert_refused_past(cfg, last)
 
 
 def test_closed_form_deviation_flags_drift_and_nan():
