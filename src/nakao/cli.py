@@ -204,9 +204,10 @@ def cmd_sequences(cfg: dict) -> int:
     config = IterationConfig(params=params, init_mode=InitMode(cfg["mode"]))
     # the constants first: past a pq where they overflow, that is the error
     bounds = iteration_bounds(config)
-    states = iterate(config, cfg["jmax"])
     rows = []
-    for st in states:
+    # iterate checks state j before it yields it and steps on only after
+    # this row's check, so the first refusal names the last finite row
+    for st in iterate(config, cfg["jmax"]):
         lo_u = lo_v = None
         if st.j % 2 == 1:
             lo_u, lo_v = log_lower_bounds(st.j, config, bounds)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import sys
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -193,13 +194,16 @@ def step(state: SlicingState, config: IterationConfig) -> SlicingState:
                         log_d=log_d_next, log_q=log_q_next)
 
 
-def iterate(config: IterationConfig, j_max: int) -> list[SlicingState]:
-    """States j = 1 .. j_max by repeated stepping.  Refuses a j_max past the
-    last j whose state is finite: L_j, the four exponents, log D_j and
-    log Q_j all leave the float range at some j, L_j first near pq = 1."""
+def iterate(config: IterationConfig, j_max: int) -> Iterator[SlicingState]:
+    """States j = 1 .. j_max by repeated stepping, yielded one at a time.
+    Refuses a j_max past the last j whose state is finite: L_j, the four
+    exponents, log D_j and log Q_j all leave the float range at some j, L_j
+    first near pq = 1.  The check on state j runs before it is yielded and
+    the step to j + 1 only after the caller asks for it, so a caller's own
+    check on row j runs first."""
     if j_max < 1:
         raise ValueError(f"j_max must be >= 1, got {j_max}")
-    states, state = [], initial_state(config)
+    state = initial_state(config)
     while True:
         if not all(map(math.isfinite, (state.L, state.alpha, state.a,
                                        state.beta, state.b, state.log_d,
@@ -207,9 +211,9 @@ def iterate(config: IterationConfig, j_max: int) -> list[SlicingState]:
             raise ValueError(
                 f"j_max {j_max} is past j = {state.j - 1}, the last index "
                 f"whose state is finite at pq = {config.params.pq!r}")
-        states.append(state)
+        yield state
         if state.j == j_max:
-            return states
+            return
         state = step(state, config)
 
 

@@ -3,15 +3,15 @@ solution Psi = e^{-t} Phi, and the Hoelder-norm quadratures built on them.
 
 Phi is 2*cosh(r) in one dimension and the sphere average of e^{x.w} above;
 it grows like r^{-(n-1)/2} e^r, so evaluation is of log Phi, to stay finite
-far out.  log_phi takes any radii.  The Hoelder norms' lattice panels
-[0.5k, 0.5(k+1)] go through log_phi_grid instead: each of their nodes is a
-panel midpoint plus one of 16 fixed offsets, so below r_switch the polar
-integrand factorizes into a (panels x order) and a (16 x order) block of
-exponentials, and the polar sum is one contraction of the two.  The
-contraction is np.einsum, not BLAS `@`, because BLAS chooses its summation
-order from the matrix shape, and a panel's value must not depend on how
-many panels share the call (holder_ratio equals psi_holder_norm at each t
-exactly).
+far out.  Below r_switch every radius is summed by one polar quadrature
+kernel over rows mid + off, whose integrand factorizes as
+e^{r(cos t - 1)} = e^{mid(cos t - 1)} e^{off(cos t - 1)}: log_phi's radii
+are rows with the single offset 0, and the Hoelder norms' lattice nodes (a
+panel midpoint plus one of 16 fixed offsets) go through log_phi_grid.  The
+contraction over the nodes is np.einsum, not BLAS `@`, because BLAS chooses
+its summation order from the matrix shape, and a radius's value must not
+depend on how many radii share the call (log_phi of one radius equals its
+entry in any array; holder_ratio equals psi_holder_norm at each t exactly).
 """
 from __future__ import annotations
 
@@ -60,15 +60,15 @@ class PhiEvaluator:
             raise ValueError(f"dimension must be >= 1, got {self.n}")
         if self.n == 1:
             return
-        probe = np.array([self.r_switch])
+        probe, zero = np.array([self.r_switch]), np.zeros(1)
         order = _START_ORDER
-        at_switch = self._log_phi_quad(probe, order)[0]
+        at_switch = self._log_phi_rule(probe, zero, order)[0, 0]
         while True:
             if order >= _MAX_ORDER:
                 raise ValueError(
                     f"Phi quadrature for n = {self.n} not converged at "
                     f"r = {self.r_switch} by order {order}")
-            doubled = self._log_phi_quad(probe, 2 * order)[0]
+            doubled = self._log_phi_rule(probe, zero, 2 * order)[0, 0]
             if abs(at_switch - doubled) <= 1e-12 * max(1.0, abs(doubled)):
                 break
             order, at_switch = 2 * order, doubled
@@ -76,18 +76,25 @@ class PhiEvaluator:
         self._log_k = float(at_switch - self.r_switch
                             + 0.5 * (self.n - 1) * math.log(self.r_switch))
 
-    def _log_phi_quad(self, r: np.ndarray, order: int) -> np.ndarray:
+    def _log_phi_rule(self, mid: np.ndarray, off: np.ndarray,
+                      order: int) -> np.ndarray:
+        """log Phi(mid[:, None] + off[None, :]) by the order-point polar
+        rule: one exp per (mid, node) and per (off, node), contracted over
+        the nodes.  The integrand e^{r(cos t - 1)} sin^{n-2} t is in [0, 1]."""
         x, w = _gauss_legendre(order)
         theta = 0.5 * math.pi * (x + 1.0)  # [-1, 1] -> [0, pi]
-        # factor out e^r: the integrand e^{r(cos t - 1)} sin^{n-2} t lies in [0, 1]
-        core = np.exp(r[:, None] * (np.cos(theta)[None, :] - 1.0))
+        drop = np.cos(theta) - 1.0
+        rows = np.exp(mid[:, None] * drop[None, :])
+        cols = np.exp(off[:, None] * drop[None, :]) * (0.5 * math.pi * w)
         if self.n > 2:
-            core = core * np.sin(theta)[None, :] ** (self.n - 2)
-        s = core @ (0.5 * math.pi * w)
-        return r + np.log(sphere_area(self.n - 1) * s)
+            cols = cols * np.sin(theta)[None, :] ** (self.n - 2)
+        s = np.einsum("kj,ij->ki", rows, cols, optimize=False)
+        return (mid[:, None] + off[None, :]
+                + np.log(sphere_area(self.n - 1) * s))
 
     def log_phi(self, r):
-        """log Phi(r), elementwise, finite for any finite radius."""
+        """log Phi(r), elementwise, finite for any finite radius; a radius's
+        value does not depend on the other radii of the call."""
         arr = np.atleast_1d(np.asarray(r, dtype=float))
         if np.any(arr < 0.0):
             raise ValueError("radius must be nonnegative")
@@ -98,7 +105,8 @@ class PhiEvaluator:
         else:
             out = np.empty_like(arr)
             near = arr <= self.r_switch
-            out[near] = self._log_phi_quad(arr[near], self.order)
+            out[near] = self._log_phi_rule(arr[near], np.zeros(1),
+                                           self.order)[:, 0]
             far = arr[~near]
             out[~near] = self._log_k + far - 0.5 * (self.n - 1) * np.log(far)
         return out[0] if np.isscalar(r) or np.ndim(r) == 0 else out
@@ -106,15 +114,12 @@ class PhiEvaluator:
     def log_phi_grid(self, mid: np.ndarray, off: np.ndarray) -> np.ndarray:
         """log Phi(mid[:, None] + off[None, :]), one row per mid.
 
-        A row whose radii all lie at or below r_switch (n >= 2) is summed as
-        one factorized quadrature: e^{r(cos t - 1)} = e^{mid(cos t - 1)}
-        e^{off(cos t - 1)}, so the rows take one exp per (mid, node) and
-        per (off, node) instead of one per (radius, node), and the sum over
-        the nodes is one np.einsum contraction, which sums each row in an
-        order that does not depend on how many rows there are (BLAS `@`
-        does not).  Every other row, and every row at n = 1, goes through
-        log_phi, so each radius takes the branch it takes there.  Agrees
-        with log_phi to rounding (a few ulp of the sum).
+        A row whose radii all lie at or below r_switch (n >= 2) is one mid
+        of the quadrature kernel, so it takes one exp per (mid, node) and
+        per (off, node) instead of one per (radius, node).  Every other row,
+        and every row at n = 1, goes through log_phi, so each radius takes
+        the branch it takes there.  Agrees with log_phi to a few ulp of the
+        sum, and exactly when off is the single offset 0.
         """
         r = mid[:, None] + off[None, :]
         if np.any(r < 0.0):
@@ -125,15 +130,7 @@ class PhiEvaluator:
         if not np.all(near):
             out[~near] = self.log_phi(r[~near].ravel()).reshape(-1, off.size)
         if np.any(near):
-            x, w = _gauss_legendre(self.order)
-            theta = 0.5 * math.pi * (x + 1.0)
-            drop = np.cos(theta) - 1.0
-            rows = np.exp(mid[near, None] * drop[None, :])
-            cols = np.exp(off[:, None] * drop[None, :]) * (0.5 * math.pi * w)
-            if self.n > 2:
-                cols = cols * np.sin(theta)[None, :] ** (self.n - 2)
-            s = np.einsum("kj,ij->ki", rows, cols, optimize=False)
-            out[near] = r[near] + np.log(sphere_area(self.n - 1) * s)
+            out[near] = self._log_phi_rule(mid[near], off, self.order)
         return out
 
     def phi(self, r):
@@ -238,11 +235,8 @@ def c2_constant(evaluator: PhiEvaluator, p: float, R: float) -> float:
     points of [0, 50].  The grid's step is the panel width 0.5, so with R a
     multiple of 0.5 every R+t ends on a lattice edge and no partial panel is
     evaluated.  Phi is evaluated once, on the lattice panels up to R + 50,
-    by one PhiEvaluator.log_phi_grid call: at n >= 2 and below r_switch a
-    factorized polar quadrature contracted with np.einsum (not BLAS `@`,
-    whose summation order follows the matrix shape, so a panel's bits would
-    depend on the panel count); at n = 1 and past r_switch, log_phi.  Each
-    call evaluates its own lattice; nothing is cached across calls.
+    by one PhiEvaluator.log_phi_grid call.  Each call evaluates its own
+    lattice; nothing is cached across calls.
     """
     ts = np.linspace(0.0, 50.0, 101)
     return float(np.max(holder_ratio(evaluator, ts, p, R)))

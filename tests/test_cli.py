@@ -194,6 +194,13 @@ def test_overflowing_iteration_constants_exit_2(tmp_path, capsys, argv):
     # exit 0 with 850 rows of L_j = inf, marked ok: the product of slice
     # factors leaves the float range first
     (["--p", "1.001", "--q", "1.001", "--jmax", "3000"], 2150),
+    # refused in two steps: 2406, the last j with a finite state, was named
+    # first and then refused in turn (logD_lower leaves the float range at
+    # 2405)
+    (["--p", "1.5", "--q", "1.2", "--jmax", "1000000000"], 2404),
+    # the state leaves the float range at an odd j where (pq)^{(j-1)/2}
+    # overflows too: the certified lower bounds must not be formed there
+    (["--p", "50", "--q", "50", "--jmax", "1000"], 182),
 ])
 def test_sequences_jmax_past_float_range_exit_2(tmp_path, capsys, argv, last):
     out = tmp_path / "o"
@@ -436,7 +443,7 @@ def test_sequences_nan_state_fails_closed_form_check(tmp_path, monkeypatch):
     real = cli.iterate
 
     def with_nan(config, j_max):
-        states = real(config, j_max)
+        states = list(real(config, j_max))
         states[2] = replace(states[2], alpha=math.nan)
         return states
 

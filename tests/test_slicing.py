@@ -104,7 +104,7 @@ def test_initial_state_rejects_inadmissible():
 
 def test_step_hand_recursion():
     cfg = _cfg(1, 2.0, 2.0)
-    states = iterate(cfg, 4)
+    states = list(iterate(cfg, 4))
     assert [s.beta for s in states] == [1.0, 3.0, 9.0, 17.0]
     assert [s.b for s in states] == [1.0, 4.0, 8.0, 20.0]
     assert [s.alpha for s in states[:3]] == [0.0, 1.0, 3.0]
@@ -156,13 +156,13 @@ def _last_finite_by_stepping(cfg) -> int:
 
 
 def _assert_refused_past(cfg, last):
-    states = iterate(cfg, last)
+    states = list(iterate(cfg, last))
     assert [s.j for s in states] == list(range(1, last + 1))
     assert all(map(_finite_state, states))
     # the closed forms must not fail before the state does
     assert all(closed_form_deviation(s, cfg) <= 1e-10 for s in states)
     with pytest.raises(ValueError, match=f"past j = {last}, "):
-        iterate(cfg, last + 1)
+        list(iterate(cfg, last + 1))
 
 
 @pytest.mark.parametrize("n,p,q", [
@@ -194,14 +194,14 @@ def test_refusal_names_an_accepted_j_property(n, u, v, mode):
     assume(p * q >= 1.05)
     cfg = _cfg(n, p, q, mode=mode)
     with pytest.raises(ValueError, match="past j = ") as refusal:
-        iterate(cfg, 10**9)
+        list(iterate(cfg, 10**9))
     last = int(re.search(r"past j = (\d+), ", str(refusal.value)).group(1))
     _assert_refused_past(cfg, last)
 
 
 def test_closed_form_deviation_flags_drift_and_nan():
     cfg = _cfg(2, 2.0, 2.0)
-    odd, even = iterate(cfg, 4)[2:]
+    odd, even = list(iterate(cfg, 4))[2:]
     assert (odd.j, even.j) == (3, 4)
     assert closed_form_deviation(odd, cfg) <= 1e-10
     assert closed_form_deviation(even, cfg) <= 1e-10
@@ -252,7 +252,7 @@ def test_growth_coefficient_bounds(n, p, q, mode):
 @pytest.mark.parametrize("mode", list(InitMode))
 def test_sequence_signs_and_growth(n, p, q, mode):
     cfg = _cfg(n, p, q, mode=mode)
-    states = iterate(cfg, 41)
+    states = list(iterate(cfg, 41))
     for s in states:
         assert s.beta >= 1.0 and s.b >= 1.0
         assert s.alpha >= 0.0 and s.a >= 0.0
@@ -273,7 +273,7 @@ def test_two_step_inequality_with_certified_constants(mode):
     for n, p, q in [(1, 2.0, 2.0), (2, 1.5, 1.5), (4, 1.3, 1.6)]:
         cfg = _cfg(n, p, q, mode=mode, eps=0.3)
         b = iteration_bounds(cfg)
-        states = iterate(cfg, 41)
+        states = list(iterate(cfg, 41))
         pq, lpq = p * q, math.log(p * q)
         for j in range(3, 42, 2):
             s, s2 = states[j - 1], states[j - 3]
@@ -437,7 +437,7 @@ def test_closed_form_property(n, p, q, mode, half):
         return
     cfg = IterationConfig(params=params, init_mode=mode)
     j = 2 * half + 1
-    states = iterate(cfg, j)
+    states = list(iterate(cfg, j))
     s = states[-1]
     for cf, rec in zip(closed_form_exponents(j, cfg),
                        (s.alpha, s.a, s.beta, s.b)):

@@ -155,6 +155,18 @@ def test_log_phi_independent_of_call_history():
     before = ev.log_phi(1.0)
     ev.log_phi(300.0)
     assert ev.log_phi(1.0) == before == PhiEvaluator(22).log_phi(1.0)
+    # nor on the other radii of the call: alone, each radius gets the bits
+    # it gets in a 4,001-point array, and so does log_phi_grid with the
+    # single offset 0
+    r = np.linspace(0.0, 300.0, 4001)
+    for n in (2, 3, 5):
+        ev = PhiEvaluator(n)
+        whole = ev.log_phi(r)
+        alone = np.array([ev.log_phi(r[i:i + 1])[0] for i in range(r.size)])
+        assert np.array_equal(alone, whole)
+        near = r <= ev.r_switch
+        assert np.array_equal(ev.log_phi_grid(r[near], np.zeros(1))[:, 0],
+                              whole[near])
 
 
 @pytest.mark.parametrize("n", range(2, 13))
@@ -162,8 +174,8 @@ def test_rule_converged_below_switch_radius(n):
     # the order is chosen at r_switch only; it must hold at smaller radii too
     ev = PhiEvaluator(n)
     r = np.linspace(0.0, ev.r_switch, 401)
-    chosen = ev._log_phi_quad(r, ev.order)
-    doubled = ev._log_phi_quad(r, 2 * ev.order)
+    chosen = ev._log_phi_rule(r, np.zeros(1), ev.order)[:, 0]
+    doubled = ev._log_phi_rule(r, np.zeros(1), 2 * ev.order)[:, 0]
     assert np.all(np.abs(chosen - doubled)
                   <= 1e-12 * np.maximum(1.0, np.abs(doubled)))
 
