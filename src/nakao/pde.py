@@ -14,7 +14,9 @@ larger cfl.
 
 One leapfrog loop, `_march`, steps and measures only the exact nonzero
 prefix of the grid (see RadialField.end), in buffers allocated once per
-field; every value equals that of the whole-grid computation bit for bit,
+field.  Every 64 steps it zeroes the scheme's dust, the nodes ahead of the
+light cone below 1e-40 of their column's maximum (see _cut); every value
+equals that of the whole-grid computation with the same cut bit for bit,
 the quadratures summing the prefix.  The level
 arrays may carry a trailing epsilon axis, shape (nodes, k): `blowup_times`
 marches a whole ladder of amplitudes that way, one column per epsilon, and
@@ -40,12 +42,13 @@ from .testfn import PhiEvaluator
 class Numerics:
     """Grid/time configuration.  dt = cfl * h; the grid ends at
     r_max = R + t_max + max(0.5, 4h): the light cone plus a few nodes of
-    padding.  The scheme's sub-truncation dust runs ahead of the cone and
-    reaches the last interior node in most runs (at n = 3, h = 0.01 at
-    t = 33, where it is 2.3e-8 of max|u| at t = 40).  threshold is the
-    max-norm blow-up level (see run).  make_initial_data refuses h, t_max or
-    threshold that is not finite and positive, an r_max that overflows and a
-    cfl outside (0, cfl_max(n))."""
+    padding.  The scheme's sub-truncation dust runs ahead of the cone, and
+    even the part at or above 1e-40 of the maximum, which _march keeps (see
+    _cut), reaches the last interior node in long runs (at n = 3, h = 0.01
+    at t = 38.5, t = 33 uncut; it is 2.3e-8 of max|u| there at t = 40).
+    threshold is the max-norm blow-up level (see run).  make_initial_data
+    refuses h, t_max or threshold that is not finite and positive, an r_max
+    that overflows and a cfl outside (0, cfl_max(n))."""
 
     h: float = 0.02
     cfl: float = 0.45
@@ -112,9 +115,10 @@ class RadialField:
     retires columns with a.compress(keep, axis=1), which returns C order).
 
     end says that nodes end.. are zero in u, u_prev, v and v_prev, in every
-    column (data in r <= R stay in r <= R + t, the scheme's dust a few nodes
-    ahead): the whole grid at construction, narrowed to the exact nonzero
-    prefix by _march, and trimmed to it by every step.  step, functionals
+    column (data in r <= R stay in r <= R + t; the scheme's dust runs ahead
+    at about one node per step, until _march cuts it, see _cut): the whole
+    grid at construction, narrowed to the exact nonzero prefix by _march,
+    and trimmed to it by every step and every cut.  step, functionals
     and support_radius work on the prefix only, so a caller that sets the
     levels afterwards must leave it covering their nonzeros, and the
     sources step is given must vanish past it widened by one node.
@@ -378,9 +382,10 @@ def step(field: RadialField, params: ProblemParams, src_u: np.ndarray,
 
     Only the prefix field.end widened by one node is computed (the stencil
     is 3-point), so src_u / src_v must vanish past it; the prefix is then
-    trimmed of top nodes where all four levels are zero: ahead of the light
-    cone the scheme's dust underflows to zero, so the prefix stays close to
-    the cone.
+    trimmed of top nodes where all four levels are zero.  Ahead of the light
+    cone the scheme's dust does not underflow: the prefix grows by about one
+    node per step while the cone moves cfl nodes, up to twice as far as the
+    cone, until _march's cut (see _cut) zeroes the dust.
     """
     size = field.x.size
     b = min(field.end + 1, size)
@@ -429,6 +434,51 @@ def _trim(field: RadialField, b: int) -> int:
         for buf in (field.work.src_u, field.work.src_v):
             buf[end:b] = 0.0
     return end
+
+
+# _march cuts the dust after every _CUT_EVERY-th step: nodes below
+# _CUT_BELOW times their column's maximum (see _cut)
+_CUT_EVERY = 64
+_CUT_BELOW = 1e-40
+
+
+def _cut(field: RadialField) -> None:
+    """Zero each column's tail of nodes whose four levels are all below
+    _CUT_BELOW times that column's largest |value| over the four levels, in
+    the levels and the sources, and narrow end to the longest kept prefix.
+
+    The scheme's dust runs ahead of the light cone at about one node per
+    step, at amplitudes far below the rounding of the values that matter
+    (the energy it removes is of order 1e-80 of the field's).  Cut every 64
+    steps, the prefix ends at most 64 nodes past the end the last cut left:
+    on the n = 1 eps = 0.1 ladder rung at h = 0.02 the node-levels stepped
+    fall from 2,274,474 to 1,677,676, the cone holding 1,437,136.  Each
+    column is cut by its own values only, so a batched column stays
+    bit-identical to its own run.  A column whose maximum is not finite is
+    not cut, so that _crossed still reports it; zero data (maximum 0) keeps
+    every node.  The magnitudes are formed in work.lap and work.acc, which
+    are free between steps.
+    """
+    end = field.end
+    if not end:
+        return
+    wk = field.work
+    levels = (field.u, field.u_prev, field.v, field.v_prev)
+    mag, tmp = wk.lap[:end], wk.acc[:end]
+    np.abs(levels[0][:end], out=mag)
+    for level in levels[1:]:
+        np.maximum(mag, np.abs(level[:end], out=tmp), out=mag)
+    # rows are nodes and columns the live epsilons, 1-D levels too
+    mag = mag.reshape(end, -1)
+    top = np.maximum.reduce(mag, axis=0)
+    # one past the last node at or above the floor, per column
+    cuts = end - (mag >= _CUT_BELOW * top)[::-1].argmax(axis=0)
+    cuts[~np.isfinite(top)] = end
+    for j, cut in enumerate(cuts.tolist()):
+        if cut < end:
+            for a in (*levels, wk.src_u, wk.src_v):
+                a.reshape(a.shape[0], -1)[cut:end, j] = 0.0
+    field.end = int(cuts.max())
 
 
 def _nonzero_end(field: RadialField) -> int:
@@ -634,7 +684,8 @@ def _march(fld: RadialField, params: ProblemParams, numerics: Numerics,
     column can cross before that.  Then the sources are formed and, if given,
     observe(fld, (|u|, |v|, max|u|, max|v|)) is called at every time level
     up to the last: t_max or the crossing (on a batch, the magnitudes of a
-    level still hold the columns retired at it).
+    level still hold the columns retired at it).  After every _CUT_EVERY-th
+    step the dust is cut (see _cut), before the new level is measured.
 
     Retiring columns copies the levels once with compress, which keeps them
     C-contiguous like the rebuilt work buffers (see RadialField); a column
@@ -677,6 +728,8 @@ def _march(fld: RadialField, params: ProblemParams, numerics: Numerics,
         if not cols or k == n_steps:
             break
         step(fld, params, src_u=wk.src_u, src_v=wk.src_v)
+        if fld.k % _CUT_EVERY == 0:
+            _cut(fld)
     return t_blowup
 
 

@@ -1,9 +1,9 @@
 """Reference computations that only the tests use: brute-force forms of
 slicing identities, the simplified U lower bound, finite-difference
 residuals and the asymptotic ratio of Phi, the Hoelder norms summed node
-by node for each t, and the critical curve found by bisection.  The package
-itself never needs them, so they live next to the assertions that check
-against them."""
+by node for each t, the critical curve found by bisection and the discrete
+energy identity of the leapfrog step.  The package itself never needs them,
+so they live next to the assertions that check against them."""
 import math
 
 import numpy as np
@@ -13,6 +13,7 @@ from nakao.slicing import (IterationBounds, IterationConfig,
                            _geometric_coeffs, _side_data, iteration_bounds,
                            product_limit, slice_factor)
 from nakao.params import sphere_area
+from nakao.pde import _crossed, laplacian
 from nakao.testfn import (_HOLDER_ORDER, _HOLDER_PANEL, PhiEvaluator,
                           _gauss_legendre)
 
@@ -135,3 +136,80 @@ def critical_curve_q_bisected(n: int, p: float, q_hi: float) -> float | None:
             lo = mid
         else:
             hi = mid
+
+
+class EnergyIdentity:
+    """An observer for pde._march that checks every leapfrog step against
+    the discrete energy identity, which holds to rounding whatever h, cfl
+    and amplitude.  With A = -L, symmetric in <f, g>_w = w . (f g), and
+    E(a, b) = ||(a - b)/dt||_w^2 + <A a, b>_w:
+
+        E(v^{k+1}, v^k) - E(v^k, v^{k-1}) = <|u^k|^q, v^{k+1} - v^{k-1}>_w
+        E(u^{k+1}, u^k) - E(u^k, u^{k-1}) + ||u^{k+1} - u^{k-1}||_w^2 / (2 dt)
+                                          = <|v^k|^p, u^{k+1} - u^{k-1}>_w
+
+    Each step's residual is taken relative to the largest term of its
+    identity.  E(u^k, u^{k-1}) is the one of the step's input, and
+    E(u^{k+1}, u^k) is formed at the next level as _march leaves it, so a
+    cut of the dust shows in the residual of the step before it, as the
+    energy it removes.  A batch is checked column by column; a column
+    retired at a crossing is dropped, found by _crossed as _march finds it,
+    and its last step into the crossing level is not checked.
+    """
+
+    def __init__(self, params, threshold: float):
+        self.p, self.q, self.threshold = params.p, params.q, threshold
+        self.last = None     # per column: the state of the previous level
+        self.residual_u: list[float] = []   # per step, largest over columns
+        self.residual_v: list[float] = []
+        self.levels: list[int] = []         # the step's input level k
+
+    def __call__(self, fld, mags) -> None:
+        size = fld.x.size
+        u, u_prev, v, v_prev = (getattr(fld, name).reshape(size, -1)
+                                for name in ("u", "u_prev", "v", "v_prev"))
+        now = [self._state(fld, u[:, j].copy(), u_prev[:, j].copy(),
+                           v[:, j].copy(), v_prev[:, j].copy())
+               for j in range(u.shape[1])]
+        last = self.last
+        if last is not None:
+            if len(last) > len(now):   # columns retired at this level
+                end = mags[0].shape[0]
+                abs_u, abs_v = (np.reshape(a, (end, -1)) for a in mags[:2])
+                last = [s for s, au, av in zip(last, abs_u.T, abs_v.T)
+                        if not _crossed(float(au.max(initial=0.0)),
+                                        float(av.max(initial=0.0)),
+                                        self.threshold)]
+            res = [self._residuals(fld, a, b) for a, b in zip(last, now)]
+            self.residual_u.append(max(r[0] for r in res))
+            self.residual_v.append(max(r[1] for r in res))
+            self.levels.append(fld.k - 1)
+        self.last = now
+
+    def _state(self, fld, u, u_prev, v, v_prev) -> dict:
+        return {"u": u, "u_prev": u_prev, "v": v, "v_prev": v_prev,
+                "E_u": self._energy(fld, u, u_prev),
+                "E_v": self._energy(fld, v, v_prev),
+                "src_u": np.abs(v) ** self.p, "src_v": np.abs(u) ** self.q}
+
+    @staticmethod
+    def _energy(fld, a, b):
+        """(kinetic, potential) parts of E(a, b)."""
+        w, dt = fld.w, fld.dt
+        d = (a - b) / dt
+        return float(w @ (d * d)), -float(w @ (laplacian(fld, a) * b))
+
+    @staticmethod
+    def _residuals(fld, last, now):
+        """Relative residuals (u, v) of the step from last to now."""
+        w = fld.w
+        out = []
+        for name, src in (("u", "src_u"), ("v", "src_v")):
+            jump = now[name] - last[name + "_prev"]
+            terms = [*now["E_" + name], *(-e for e in last["E_" + name]),
+                     -float(w @ (last[src] * jump))]
+            if name == "u":
+                terms.append(float(w @ (jump * jump)) / (2.0 * fld.dt))
+            scale = max(abs(t) for t in terms)
+            out.append(abs(math.fsum(terms)) / scale if scale else 0.0)
+        return out

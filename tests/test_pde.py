@@ -4,13 +4,17 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from nakao import pde
 from nakao.params import ProblemParams, sphere_area
-from nakao.pde import (BlowupReason, InitialDataSpec, Numerics, RadialField,
-                       _march, _nonzero_end, _pow_abs, _stacked_initial_data,
-                       balance_residuals, blowup_times, cfl_max, functionals,
-                       laplacian, make_field, make_initial_data, profile, run,
-                       step, support_radius)
+from nakao.pde import (_CUT_BELOW, _CUT_EVERY, BlowupReason, InitialDataSpec,
+                       Numerics, RadialField, _cut, _march, _nonzero_end,
+                       _pow_abs, _stacked_initial_data, balance_residuals,
+                       blowup_times, cfl_max, functionals, laplacian,
+                       make_field, make_initial_data, profile, run, step,
+                       support_radius)
 from nakao.testfn import PhiEvaluator
+
+from oracles import EnergyIdentity
 
 P122 = ProblemParams(1, 2.0, 2.0, R=1.0, epsilon=0.2)
 SPEC = InitialDataSpec()
@@ -396,18 +400,24 @@ def test_n8_no_false_blowup():
 # Prefix stepping must reproduce it bit for bit.  The coefficients themselves are
 # checked against the cell-volume formula in test_stencil_matches_cell_volumes.
 
-def _ref_three_point(coefs, f, ghost=True):
+def _ref_three_point(coefs, f, full_line=False):
+    """full_line: the retired n = 1 full interval, with no ghost, and its
+    rows left of the middle summed as their mirror images are (the outer
+    neighbour first), so that even data stay even bit for bit."""
     lower, diag, upper = (np.broadcast_to(c, f.shape) for c in coefs[:3])
     out = np.zeros_like(f)
     out[:-1] = diag[:-1] * f[:-1] + upper[:-1] * f[1:]
     out[1:-1] += lower[1:-1] * f[:-2]
-    if ghost and not isinstance(coefs[0], np.ndarray):
+    if full_line:
+        mid = f.size // 2
+        out[:mid] = _ref_three_point(coefs, f[::-1])[:mid:-1]
+    elif not isinstance(coefs[0], np.ndarray):
         out[0] += coefs[0] * f[1]
     return out
 
 
-def _ref_laplacian(fld, f):
-    return _ref_three_point(fld.work.stencil, f)
+def _ref_laplacian(fld, f, full_line=False):
+    return _ref_three_point(fld.work.stencil, f, full_line)
 
 
 def _ref_pow_abs(f, e):
@@ -422,14 +432,33 @@ def _ref_step(fld, params, src_u, src_v, walls=(-1,)):
     """One whole-grid step; the rows in walls are held at zero (the origin
     row is a wall, without a ghost, on the retired full-interval layout)."""
     cu, cv = fld.work.coef_u, fld.work.coef_v
-    ghost = 0 not in walls
-    u_next = ((_ref_three_point(cu, fld.u, ghost) + cu[3] * src_u)
+    full_line = 0 in walls
+    u_next = ((_ref_three_point(cu, fld.u, full_line) + cu[3] * src_u)
               + cu[4] * fld.u_prev)
-    v_next = (_ref_three_point(cv, fld.v, ghost) + cv[3] * src_v) - fld.v_prev
+    v_next = ((_ref_three_point(cv, fld.v, full_line) + cv[3] * src_v)
+              - fld.v_prev)
     u_next[list(walls)] = v_next[list(walls)] = 0.0
     fld.u_prev, fld.u = fld.u, u_next
     fld.v_prev, fld.v = fld.v, v_next
     fld.k += 1
+
+
+def _ref_cut(fld, two_sided=False):
+    """The dust cut on the whole grid: zero every node past the last one
+    where some level is at or above _CUT_BELOW times the largest |value| of
+    the four levels, unless that maximum is not finite.  two_sided also
+    cuts the left end of the retired full-interval layout, every node before
+    the first such one."""
+    levels = (fld.u, fld.u_prev, fld.v, fld.v_prev)
+    mag = np.max(np.abs(np.stack(levels)), axis=0)
+    top = float(np.max(mag))
+    if not math.isfinite(top):
+        return
+    kept = np.flatnonzero(mag >= _CUT_BELOW * top)
+    for level in levels:
+        level[kept[-1] + 1:] = 0.0
+        if two_sided:
+            level[:kept[0]] = 0.0
 
 
 def _ref_support_radius(fld):
@@ -461,16 +490,17 @@ def _full_line_initial_data(params, spec, numerics):
                       (spec.amp_u0, spec.amp_u1, spec.amp_v0, spec.amp_v1))
     fld.u, fld.v = u0.copy(), v0.copy()
     fld.u_prev = (u0 - dt * u1 + 0.5 * dt * dt * (
-        _ref_laplacian(fld, u0) - u1 + _ref_pow_abs(v0, params.p)))
+        _ref_laplacian(fld, u0, True) - u1 + _ref_pow_abs(v0, params.p)))
     fld.v_prev = (v0 - dt * v1 + 0.5 * dt * dt * (
-        _ref_laplacian(fld, v0) + _ref_pow_abs(u0, params.q)))
+        _ref_laplacian(fld, v0, True) + _ref_pow_abs(u0, params.q)))
     fld.u_prev[[0, -1]] = fld.v_prev[[0, -1]] = 0.0
     return fld
 
 
 def _ref_run(params, spec, numerics, full_line=False):
-    """Whole-grid run loop; returns the trace fields and the final field.
-    full_line runs n = 1 on the retired full-interval layout."""
+    """Whole-grid run loop with the dust cut after every _CUT_EVERY-th step;
+    returns the trace fields and the final field.  full_line runs n = 1 on
+    the retired full-interval layout."""
     if full_line:
         fld, walls = _full_line_initial_data(params, spec, numerics), (0, -1)
     else:
@@ -511,6 +541,8 @@ def _ref_run(params, spec, numerics, full_line=False):
         if k == n_steps:
             break
         _ref_step(fld, params, pow_v, pow_u, walls)
+        if fld.k % _CUT_EVERY == 0:
+            _ref_cut(fld, two_sided=full_line)
     rec = {key: np.asarray(vals) for key, vals in rec.items()}
     rec.update(t_blowup=t_blowup, reason=reason, support_max_excess=max_excess)
     return rec, fld
@@ -570,8 +602,11 @@ def test_span_run_bit_identical_to_whole_grid(case):
 
 
 # n = 1 on the half line against the retired full-interval layout: even data
-# folds exactly, so only roundoff separates them; it grows with the solution
-# on the way to a max-norm blow-up, hence the looser rtol there
+# folds exactly, and the reference sums its left half in mirror order, so the
+# levels (and the maxima) agree bit for bit and only the quadratures' summing
+# order separates them.  Unmirrored, the rounding asymmetry of the two halves
+# grew with the solution to 1e-10..3e-9 at a max-norm crossing, a draw that
+# moved with any change at rounding level (the dust cut among them)
 FULL_LINE_CASES = {
     "n1-maxnorm": EQUIVALENCE_CASES["n1-maxnorm"] + (1e-9,),
     "n1-cosine-p3-q1.5": EQUIVALENCE_CASES["n1-cosine-p3-q1.5"] + (1e-12,),
@@ -594,7 +629,9 @@ def test_half_line_n1_matches_full_interval(case):
     assert trace.t_blowup == ref["t_blowup"]
     assert _bits(trace.support_max_excess) == _bits(ref["support_max_excess"])
     assert _bits(trace.times) == _bits(ref["times"])
-    for key in ("U", "V", "V1", "max_u", "max_v", "src_u", "src_v"):
+    assert _bits(trace.max_u) == _bits(ref["max_u"])
+    assert _bits(trace.max_v) == _bits(ref["max_v"])
+    for key in ("U", "V", "V1", "src_u", "src_v"):
         np.testing.assert_allclose(getattr(trace, key), ref[key], rtol=rtol,
                                    atol=0, err_msg=key)
     if case == "n1-ladder-eps0.1":
@@ -813,3 +850,148 @@ def test_batched_step_column_matches_single_step(n):
     for name in levels:
         column = getattr(batch, name)[:, 1]
         assert _bits(column) == _bits(getattr(single, name))
+
+
+# --- the dust cut -----------------------------------------------------------
+
+# (params, ladder, numerics, blow-up times before the cut existed): long
+# batched ladders in n >= 2, where the dust ran furthest ahead of the cone
+CUT_LADDERS = {
+    "n2": (ProblemParams(2, 1.5, 1.5), [1.0, 0.6, 0.4, 0.3, 0.2],
+           Numerics(h=0.02, t_max=60.0),
+           [11.250000000000002, 14.031000000000002, 16.785000000000004,
+            19.107000000000003, 23.013]),
+    "n3": (ProblemParams(3, 1.72, 1.64), [4.0, 3.0, 2.0, 1.5, 1.0],
+           Numerics(h=0.1, t_max=400.0),
+           [13.545000000000002, 19.17, 32.940000000000005, 50.26500000000001,
+            96.525]),
+    "n4": (ProblemParams(4, 1.49, 1.52), [4.0, 3.0, 2.0, 1.5, 1.0],
+           Numerics(h=0.1, t_max=300.0),
+           [45.540000000000006, 59.175000000000004, 86.98500000000001,
+            115.65000000000002, 175.72500000000002]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CUT_LADDERS))
+def test_cut_keeps_ladder_blowup_times(case):
+    params, ladder, num, expected = CUT_LADDERS[case]
+    assert blowup_times(params, ladder, SPEC, num) == expected
+
+
+def test_cut_shortens_ladder_rung_prefix():
+    # the eps = 0.1 rung of the benchmark ladder stepped 2,274,474
+    # node-levels uncut, of which the cone R + t holds 1,437,136
+    params = ProblemParams(1, 2.0, 2.0, epsilon=0.1)
+    num = Numerics(h=0.02, t_max=60.0)
+    fld, _ = make_initial_data(params, SPEC, num)
+    ends = []
+    times = _march(fld, params, num, lambda fld, mags: ends.append(fld.end))
+    assert times == [21.753000000000004]
+    assert sum(ends) < 0.8 * 2_274_474
+
+
+def _dust_batch():
+    """A four-column batch on 0 <= r <= 3, every level e^{-50 r} (below
+    1e-40 of its maximum past r = 1.85): column 0 as it is, column 1 with
+    an infinite u_prev, column 2 a nan v_prev, column 3 zero."""
+    fld = make_field(1, 0.05, 0.0225, 3.0)
+    base = np.exp(-50.0 * fld.x)
+    levels = {}
+    for name in ("u", "u_prev", "v", "v_prev"):
+        level = np.repeat(base[:, None], 4, axis=1)
+        level[:, 3] = 0.0
+        levels[name] = level
+    levels["u_prev"][5, 1] = math.inf
+    levels["v_prev"][5, 2] = math.nan
+    return RadialField(n=1, h=fld.h, dt=fld.dt, x=fld.x, w=fld.w, **levels)
+
+
+def test_cut_zeroes_only_finite_nonzero_columns():
+    fld = _dust_batch()
+    before = {name: getattr(fld, name).copy()
+              for name in ("u", "u_prev", "v", "v_prev")}
+    fld.work.src_u[:] = fld.work.src_v[:] = 1.0
+    _cut(fld)
+    # column 0 ends at the last node at or above 1e-40 of its maximum, 1
+    cut = int(np.flatnonzero(np.exp(-50.0 * fld.x) >= _CUT_BELOW)[-1]) + 1
+    assert 0 < cut < fld.x.size
+    for name, level in before.items():
+        after = getattr(fld, name)
+        assert _bits(after[:cut, 0]) == _bits(level[:cut, 0])
+        assert not after[cut:, 0].any()
+        # a non-finite maximum is not cut, and zero data keeps every node
+        assert _bits(after[:, 1:]) == _bits(level[:, 1:])
+    for buf in (fld.work.src_u, fld.work.src_v):
+        assert not buf[cut:, 0].any() and buf[:, 1:].all()
+    assert fld.end == fld.x.size
+
+
+def test_cut_leaves_non_finite_column_to_crossing():
+    # the first step lands on a cut level, where columns 1 and 2 carry a
+    # non-finite value: _crossed reports them there, uncut
+    fld = _dust_batch()
+    fld.k = _CUT_EVERY - 1
+    num = Numerics(h=fld.h, t_max=(2 * _CUT_EVERY + 1) * fld.dt)
+    t_cut = _CUT_EVERY * fld.dt
+    assert _march(fld, ProblemParams(1, 2.0, 2.0), num) == [None, t_cut,
+                                                           t_cut, None]
+
+
+def test_cut_keeps_zero_data():
+    num = Numerics(h=0.05, t_max=4.0)   # 177 steps: two cut levels
+    fld, _ = make_initial_data(P122, ZERO, num)
+    ends = []
+    assert _march(fld, P122, num,
+                  lambda fld, mags: ends.append(fld.end)) == [None]
+    assert len(ends) > 2 * _CUT_EVERY and not any(ends)
+    whole = make_field(2, 0.05, 0.0225, 2.0)
+    _cut(whole)
+    assert whole.end == whole.x.size
+
+
+# one crossing trace per dimension: the energy identity holds to rounding at
+# every step, the cut levels included
+ENERGY_CASES = {
+    "n1": (ProblemParams(1, 2.0, 2.0, epsilon=0.1), Numerics(h=0.02, t_max=60.0)),
+    "n2": (ProblemParams(2, 1.5, 1.5, epsilon=0.3), Numerics(h=0.05, t_max=30.0)),
+    "n3": (ProblemParams(3, 1.2, 1.8, epsilon=0.3), Numerics(h=0.04, t_max=60.0)),
+    "n5": (ProblemParams(5, 1.2, 1.2, epsilon=0.6), Numerics(h=0.05, t_max=60.0)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ENERGY_CASES))
+def test_energy_identity_holds_through_cuts(case):
+    params, num = ENERGY_CASES[case]
+    fld, _ = make_initial_data(params, SPEC, num)
+    oracle = EnergyIdentity(params, num.threshold)
+    (t_blowup,) = _march(fld, params, num, oracle)
+    assert t_blowup is not None
+    assert len(oracle.levels) == fld.k == round(t_blowup / fld.dt)
+    assert sum(k % _CUT_EVERY == _CUT_EVERY - 1 for k in oracle.levels) >= 10
+    assert max(oracle.residual_u) <= 1e-11
+    assert max(oracle.residual_v) <= 1e-11
+
+
+def test_energy_identity_holds_on_batched_columns():
+    params, ladder, num = BATCH_CASES["n2"]
+    fld = _stacked_initial_data(params, ladder, SPEC, num)
+    oracle = EnergyIdentity(params, num.threshold)
+    times = _march(fld, params, num, oracle)
+    assert times == blowup_times(params, ladder, SPEC, num)
+    assert len(oracle.levels) == fld.k > 2 * _CUT_EVERY
+    assert max(oracle.residual_u) <= 1e-11
+    assert max(oracle.residual_v) <= 1e-11
+
+
+def test_energy_identity_sees_a_cut_of_real_content(monkeypatch):
+    # cutting at 1e-4 of the maximum removes energy the identity shows, at
+    # the cut levels only
+    monkeypatch.setattr(pde, "_CUT_BELOW", 1e-4)
+    params, num = ENERGY_CASES["n2"]
+    fld, _ = make_initial_data(params, SPEC, num)
+    oracle = EnergyIdentity(params, num.threshold)
+    _march(fld, params, num, oracle)
+    at_cut = [k % _CUT_EVERY == _CUT_EVERY - 1 for k in oracle.levels]
+    res = np.maximum(oracle.residual_u, oracle.residual_v)
+    assert res[at_cut].max() > 1e-8
+    assert res[np.logical_not(at_cut)].max() <= 1e-11
