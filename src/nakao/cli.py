@@ -301,6 +301,8 @@ def cmd_sweep(cfg: dict) -> int:
 def cmd_report(cfg: dict) -> int:
     params = _params(cfg)
     rep = critical_values(params)
+    lb = lifespan_upper_bound(params) if rep.verdict is Verdict.BLOW_UP \
+        else None
     F_max = max(rep.F1, rep.F2, rep.F3, rep.F4)
     doc = {
         "config": cfg,
@@ -316,15 +318,15 @@ def cmd_report(cfg: dict) -> int:
         "fujita": fujita_exponent(params.n),
         "p0": p0_exponent(params.n) if params.n >= 2 else None,
         "diagonal_bound": diagonal_blowup_bound(params.n),
-        "product_limit": product_limit(params.pq),
+        "product_limit": product_limit(params.pq) if lb is None
+        else lb.product_limit,
     }
     for mode in InitMode:
         config = IterationConfig(params=params, init_mode=mode)
         j0, j1 = thresholds(config)
         doc[f"j0_{mode.value}"] = j0
         doc[f"j1_{mode.value}"] = j1
-    if rep.verdict is Verdict.BLOW_UP:
-        lb = lifespan_upper_bound(params)
+    if lb is not None:
         doc["lifespan_upper_bound"] = lb.t_upper
         doc["binding_exponent"] = lb.binding
         doc["bound_floor"] = lb.floor

@@ -252,7 +252,7 @@ def scan_arrays(n: int, P: np.ndarray, Q: np.ndarray):
     ok = np.maximum(P, Q) <= admissible_cap(n)
     blow = aN > (n - 1.0) / 2.0
     wak = alpha_nw(P, Q) >= n / 2.0
-    codes = np.where(~ok, 3, np.where(blow, 0, np.where(wak, 1, 2)))
+    codes = np.where(ok, np.where(blow, 0, 2 - wak), 3)
     return aN, F, codes.astype(np.int8), binding.astype(np.int8)
 
 

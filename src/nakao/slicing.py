@@ -16,7 +16,9 @@ from collections.abc import Iterator
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .exponents import ExponentReport, Verdict, critical_values
+import numpy as np
+
+from .exponents import _VERDICTS, Verdict, f1, f2, f3, f4, scan_arrays
 from .params import ProblemParams, ball_volume
 
 
@@ -97,25 +99,30 @@ _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 def product_limit(pq: float) -> float:
-    """L = lim L_j, accumulated in log space until the geometric tail of
-    sum log ell_k (bounded via log(1+x) <= x) drops below 1e-12; +inf as
-    soon as the partial sum passes the log of the largest float (pq below
-    about 1.00232), so L never overflows."""
+    """L = lim L_j = exp(sum_{k>=1} log ell_k), summed over the first K
+    terms, K the first k whose geometric tail bound (pq)^{-k/2}/(1 - x),
+    x = (pq)^{-1/2} (via log(1+y) <= y), drops below 1e-12.  +inf where
+    log L passes the log of the largest float (pq below about 1.00232), so
+    L never overflows; below pq ~ 1.00195 that is known before any term is
+    formed, since log(1+y) >= y log 2 on [0, 1] gives log L >= log 2/(1-x)."""
     if pq <= 1.0:
         raise ValueError(f"pq must exceed 1, got {pq}")
-    root = pq ** -0.5
-    log_sum = 0.0
-    term = 1.0        # (pq)^{(1-k)/2} at k = 1
-    k = 1
-    while True:
-        log_sum += math.log1p(term)
-        if log_sum > _LOG_FLOAT_MAX:
-            return math.inf
-        # the next term, which also leads the remaining sum over i > k
-        term = pq ** (-k / 2.0)
-        if term / (1.0 - root) < 1e-12:
-            return math.exp(log_sum)
+    tail = 1.0 - pq ** -0.5
+    if math.log(2.0) / tail > _LOG_FLOAT_MAX:
+        return math.inf
+
+    def done(k: int) -> bool:
+        return pq ** (-k / 2.0) / tail < 1e-12
+
+    # closed-form estimate of K, then the exact float test on both sides;
+    # past the early exit K stays below ~4e4
+    k = max(1, math.ceil(-2.0 * math.log(1e-12 * tail) / math.log(pq)))
+    while k > 1 and done(k - 1):
+        k -= 1
+    while not done(k):
         k += 1
+    log_sum = float(np.log1p(np.power(pq, np.arange(k) / -2.0)).sum())
+    return math.exp(log_sum) if log_sum <= _LOG_FLOAT_MAX else math.inf
 
 
 def initial_exponents(mode: InitMode, params: ProblemParams):
@@ -129,14 +136,13 @@ def initial_exponents(mode: InitMode, params: ProblemParams):
 _LOG_HALF_GAP = math.log1p(-math.exp(-0.5))  # log(1 - e^{-1/2})
 
 
-def initial_state(config: IterationConfig) -> SlicingState:
-    """State at j = 1 with the mode's exponents and log D_1, log Q_1."""
+def _initial_logs(config: IterationConfig) -> tuple[float, float]:
+    """(log D_1, log Q_1) of the mode's first lower bounds."""
     params = config.params
     if not params.admissible:
         raise ValueError("initial bounds require admissible (n, p, q)")
     n, p, q = params.n, params.p, params.q
     log_eps = math.log(params.epsilon)
-    alpha1, a1, beta1, b1 = initial_exponents(config.init_mode, params)
     unit = config.constant_mode is ConstantMode.UNIT
     d = config.data
     if config.init_mode is InitMode.EIGENFUNCTION:
@@ -157,6 +163,13 @@ def initial_state(config: IterationConfig) -> SlicingState:
         log_d1 = p * log_cv - (p - 1.0) * log_ball + _LOG_HALF_GAP \
             - math.log(p + 1.0) - (p + 1.0) * math.log(2.0) + p * log_eps
         log_q1 = q * log_cu - (q - 1.0) * log_ball - math.log(2.0) + q * log_eps
+    return log_d1, log_q1
+
+
+def initial_state(config: IterationConfig) -> SlicingState:
+    """State at j = 1 with the mode's exponents and log D_1, log Q_1."""
+    log_d1, log_q1 = _initial_logs(config)
+    alpha1, a1, beta1, b1 = initial_exponents(config.init_mode, config.params)
     return SlicingState(j=1, ell=2.0, L=2.0, alpha=alpha1, a=a1,
                         beta=beta1, b=b1, log_d=log_d1, log_q=log_q1)
 
@@ -312,25 +325,27 @@ def _round_up_odd(x: float) -> int:
 def iteration_bounds(config: IterationConfig) -> IterationBounds:
     params = config.params
     p, q, pq = params.p, params.q, params.pq
+    # the mode-independent terms: frame constant, sqrt/log of pq, pq - 1
+    log_c0 = config.frame_constant_log()
+    root = math.sqrt(pq)
+    log_gap = math.log(root - 0.5)
+    lpq = math.log(pq)
+    s = pq - 1.0
     _, _, beta1, b1 = initial_exponents(config.init_mode, params)
     c_beta, c_b = _geometric_coeffs(params)
     b0 = max(c_beta + beta1, (c_b + b1) / q)
     b0t = max(c_b + b1, (c_beta + beta1) / p)
 
-    m_log = -b0 * math.sqrt(pq)
-    log_c0 = config.frame_constant_log()
-    log_gap = math.log(math.sqrt(pq) - 0.5)
+    m_log = -b0 * root
     log_e0 = (p + 1.0) * log_c0 + m_log + log_gap - math.log(b0) \
         - 2.0 * p * math.log(b0t)
     log_e0t = (q + 1.0) * log_c0 + q * m_log + q * log_gap \
         - q * math.log(b0) - 2.0 * math.log(b0t)
 
-    init = initial_state(config)
-    lpq = math.log(pq)
-    s = pq - 1.0
-    growth_u = init.log_d + lpq / (2.0 * s * s) * (1.0 - 7.0 * pq - 4.0 * p * p * q) \
+    log_d1, log_q1 = _initial_logs(config)
+    growth_u = log_d1 + lpq / (2.0 * s * s) * (1.0 - 7.0 * pq - 4.0 * p * p * q) \
         + log_e0 / s
-    growth_v = init.log_q + lpq / (s * s) * (1.0 - 2.0 * p * q * q - 3.0 * pq - q) \
+    growth_v = log_q1 + lpq / (s * s) * (1.0 - 2.0 * p * q * q - 3.0 * pq - q) \
         + log_e0t / s
 
     x0 = (2.0 * (p + 1.0) / (3.0 + 2.0 * p)
@@ -362,9 +377,9 @@ def log_lower_bounds(j: int, config: IterationConfig,
     return g * bounds.growth_u, g * bounds.growth_v
 
 
-def _side_data(config: IterationConfig, rep: ExponentReport):
+def _side_data(config: IterationConfig, fs: tuple[float, float, float, float]):
     """Per-mode t-exponents and powers of 2 of the functional lower bounds;
-    rep is critical_values(config.params).
+    fs is (F1, F2, F3, F4) at config.params.
 
     U-side: exponent p*F with F = F1 (eigenfunction) or F3 (direct) and
     2-power X_u = alpha_1 + beta_1 + c_beta - n; V-side: q*F with F = F2 or F4
@@ -375,9 +390,9 @@ def _side_data(config: IterationConfig, rep: ExponentReport):
     alpha1, a1, beta1, b1 = initial_exponents(config.init_mode, params)
     c_beta, c_b = _geometric_coeffs(params)
     if config.init_mode is InitMode.EIGENFUNCTION:
-        f_u, f_v, name_u, name_v = rep.F1, rep.F2, "F1", "F2"
+        (f_u, f_v, _, _), name_u, name_v = fs, "F1", "F2"
     else:
-        f_u, f_v, name_u, name_v = rep.F3, rep.F4, "F3", "F4"
+        (_, _, f_u, f_v), name_u, name_v = fs, "F3", "F4"
     x_u = alpha1 + beta1 + c_beta - n
     x_v = a1 + b1 + c_b + n
     return (f_u, x_u, name_u), (f_v, x_v, name_v)
@@ -409,9 +424,11 @@ def lifespan_upper_bound(params: ProblemParams,
     result never drops below max(R, 2L).
     Rejects parameters whose verdict is not BLOW_UP.
     """
-    rep = critical_values(params)
-    if rep.verdict is not Verdict.BLOW_UP:
-        raise ValueError(f"no blow-up bound available: verdict {rep.verdict.value}")
+    n, p, q = params.n, params.p, params.q
+    verdict = _VERDICTS[int(scan_arrays(n, p, q)[2])]
+    if verdict is not Verdict.BLOW_UP:
+        raise ValueError(f"no blow-up bound available: verdict {verdict.value}")
+    fs = (f1(n, p, q), f2(n, p, q), f3(n, p, q), f4(n, p, q))
     if data is None:
         data = DataConstants()
     limit = product_limit(params.pq)
@@ -425,13 +442,11 @@ def lifespan_upper_bound(params: ProblemParams,
                                  constant_mode=constant_mode, data=data,
                                  holder_constant=holder_constant)
         bounds = iteration_bounds(config)
-        (f_u, x_u, name_u), (f_v, x_v, name_v) = _side_data(config, rep)
+        (f_u, x_u, name_u), (f_v, x_v, name_v) = _side_data(config, fs)
         if f_u > 0.0:
-            log_candidates[name_u] = (x_u * ln2 - bounds.growth_u) \
-                / (params.p * f_u)
+            log_candidates[name_u] = (x_u * ln2 - bounds.growth_u) / (p * f_u)
         if f_v > 0.0:
-            log_candidates[name_v] = (x_v * ln2 - bounds.growth_v) \
-                / (params.q * f_v)
+            log_candidates[name_v] = (x_v * ln2 - bounds.growth_v) / (q * f_v)
 
     def safe_exp(v: float) -> float:
         return math.exp(v) if v < 709.0 else math.inf

@@ -1,5 +1,6 @@
 """Reference computations that only the tests use: brute-force forms of
-slicing identities, the simplified U lower bound, finite-difference
+slicing identities, product_limit term by term, the lifespan bound through
+critical_values, the simplified U lower bound, finite-difference
 residuals and the asymptotic ratio of Phi, the Hoelder norms summed node
 by node for each t, the critical curve found by bisection and the discrete
 energy identity of the leapfrog step.  The package itself never needs them,
@@ -8,10 +9,11 @@ import math
 
 import numpy as np
 
-from nakao.exponents import alpha_n, critical_values
-from nakao.slicing import (IterationBounds, IterationConfig,
-                           _geometric_coeffs, _side_data, iteration_bounds,
-                           product_limit, slice_factor)
+from nakao.exponents import Verdict, alpha_n, critical_values
+from nakao.slicing import (_LOG_FLOAT_MAX, ConstantMode, DataConstants,
+                           InitMode, IterationBounds, IterationConfig,
+                           LifespanBound, _geometric_coeffs, _side_data,
+                           iteration_bounds, product_limit, slice_factor)
 from nakao.params import sphere_area
 from nakao.pde import _crossed, laplacian
 from nakao.testfn import (_HOLDER_ORDER, _HOLDER_PANEL, PhiEvaluator,
@@ -43,6 +45,81 @@ def weighted_sum(j: int, pq: float):
     return brute, closed
 
 
+def _log_slice_factors(pq: float):
+    """log ell_k = log1p((pq)^{(1-k)/2}) for k = 1 .. K, K the first k whose
+    tail bound (pq)^{-k/2} / (1 - (pq)^{-1/2}) is below 1e-12: the terms of
+    product_limit, one at a time."""
+    root = pq ** -0.5
+    term = 1.0        # (pq)^{(1-k)/2} at k = 1
+    k = 1
+    while True:
+        yield math.log1p(term)
+        # the next term, which also leads the remaining sum over i > k
+        term = pq ** (-k / 2.0)
+        if term / (1.0 - root) < 1e-12:
+            return
+        k += 1
+
+
+def product_limit_loop(pq: float) -> float:
+    """product_limit summed term by term in order, +inf as soon as the
+    partial sum passes log(float max).  One rounding per term: at
+    log L ~ 700 this sum drifts by up to ~5e-11 from the exact one."""
+    log_sum = 0.0
+    for term in _log_slice_factors(pq):
+        log_sum += term
+        if log_sum > _LOG_FLOAT_MAX:
+            return math.inf
+    return math.exp(log_sum)
+
+
+def product_limit_fsum(pq: float) -> float:
+    """product_limit with the same terms summed exactly (math.fsum, one
+    rounding in all), +inf past the float range."""
+    log_sum = math.fsum(_log_slice_factors(pq))
+    return math.exp(log_sum) if log_sum <= _LOG_FLOAT_MAX else math.inf
+
+
+def lifespan_bound_via_report(params, constant_mode=ConstantMode.UNIT,
+                              data=None, holder_constant=None) -> LifespanBound:
+    """lifespan_upper_bound with the verdict and F1..F4 read from
+    critical_values' ExponentReport and L from product_limit_loop."""
+    rep = critical_values(params)
+    if rep.verdict is not Verdict.BLOW_UP:
+        raise ValueError(f"no blow-up bound available: verdict {rep.verdict.value}")
+    data = DataConstants() if data is None else data
+    limit = product_limit_loop(params.pq)
+    floor = max(params.R, 2.0 * limit)
+    log_candidates = {}
+    for mode in (InitMode.EIGENFUNCTION, InitMode.DIRECT):
+        config = IterationConfig(params=params, init_mode=mode,
+                                 constant_mode=constant_mode, data=data,
+                                 holder_constant=holder_constant)
+        bounds = iteration_bounds(config)
+        sides = _side_data(config, (rep.F1, rep.F2, rep.F3, rep.F4))
+        for (f, x, name), growth, power in zip(
+                sides, (bounds.growth_u, bounds.growth_v), (params.p, params.q)):
+            if f > 0.0:
+                log_candidates[name] = (x * math.log(2.0) - growth) / (power * f)
+    binding = min(log_candidates, key=log_candidates.get)
+    cands = {k: math.exp(v) if v < 709.0 else math.inf
+             for k, v in log_candidates.items()}
+    return LifespanBound(t_upper=max(floor, cands[binding]), binding=binding,
+                         floor=floor, product_limit=limit, candidates=cands,
+                         log_candidates=log_candidates)
+
+
+def assert_bound_matches(got: LifespanBound, want: LifespanBound) -> None:
+    """binding and the log candidates bit for bit; L, the floor and t_upper
+    to 1e-12 (L comes from another summation)."""
+    assert got.binding == want.binding
+    assert got.log_candidates == want.log_candidates
+    assert got.candidates == want.candidates
+    for name in ("product_limit", "floor", "t_upper"):
+        g, w = getattr(got, name), getattr(want, name)
+        assert g == w or abs(g - w) <= 1e-12 * w, (name, g, w)
+
+
 def log_functional_bound_u(t: float, j: int, config: IterationConfig,
                            bounds: IterationBounds | None = None,
                            limit: float | None = None) -> float:
@@ -55,7 +132,8 @@ def log_functional_bound_u(t: float, j: int, config: IterationConfig,
         limit = product_limit(params.pq)
     if t < max(params.R, 2.0 * limit):
         raise ValueError("the simplified bound needs t >= max(R, 2L)")
-    (f_u, x_u, _), _ = _side_data(config, critical_values(params))
+    rep = critical_values(params)
+    (f_u, x_u, _), _ = _side_data(config, (rep.F1, rep.F2, rep.F3, rep.F4))
     c_beta, _ = _geometric_coeffs(params)
     g = params.pq ** ((j - 1) / 2.0)
     return (g * (bounds.growth_u - x_u * math.log(2.0)

@@ -239,6 +239,46 @@ def test_scan_matches_scalar_classification():
             assert codes[i] == code_map[rep.verdict]
 
 
+def _tie_cells(f, target, ps):
+    """(p, q) with f(p, q) == target in binary64: for each p, bisect the
+    decreasing q -> f(p, q) onto target, then try the 64 floats either side."""
+    cells = []
+    for p in ps:
+        lo, hi = 1.0 + 1e-9, 1e3
+        if not f(p, lo) >= target >= f(p, hi):
+            continue
+        for _ in range(100):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if f(p, mid) > target else (lo, mid)
+        qs = hi + np.arange(-64, 65) * np.spacing(hi)
+        cells += [(p, q) for q in qs if f(p, q) == target]
+    return cells
+
+
+@pytest.mark.parametrize("n", [1, 3, 5])
+def test_scan_codes_on_exact_ties(n):
+    # cells exactly on alpha_n = (n-1)/2 (no iteration blow-up: strict),
+    # on alpha_nw = n/2 (Wakasugi's condition holds: non-strict) and on
+    # max(p, q) = n/(n-2) (admissible: closed); for n = 1, alpha_n > 0 and
+    # the cap is infinite, and alpha_nw rounds onto 1/2 only at p ~ 1e17
+    cap = admissible_cap(n)
+    ps = [1e17, 3e17] if n == 1 else list(np.linspace(1.05, cap, 23))
+    on_curve = _tie_cells(alpha_n, (n - 1.0) / 2.0, ps)
+    on_wakasugi = _tie_cells(alpha_nw, n / 2.0, ps)
+    on_cap = [] if n == 1 else [
+        cell for v in np.linspace(1.05, cap, 9) for cell in ((cap, v), (v, cap))]
+    assert bool(on_curve) == (n > 1) and on_wakasugi
+    P, Q = (np.array(c) for c in zip(*(on_curve + on_wakasugi + on_cap)))
+    codes = scan_arrays(n, P, Q)[2]
+    ok = np.maximum(P, Q) <= cap
+    blow = alpha_n(P, Q) > (n - 1.0) / 2.0
+    wak = alpha_nw(P, Q) >= n / 2.0
+    nested = np.where(~ok, 3, np.where(blow, 0, np.where(wak, 1, 2)))
+    assert codes.tolist() == nested.tolist()
+    k, m = len(on_curve), len(on_wakasugi)
+    assert not blow[:k].any() and wak[k:k + m].all() and ok[k + m:].all()
+
+
 @settings(max_examples=150, deadline=None)
 @given(pq_pairs(), st.integers(min_value=1, max_value=10))
 def test_verdict_matches_condition(pair, n):

@@ -1,7 +1,10 @@
 import math
 import re
+import tracemalloc
+from collections import Counter
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -14,7 +17,10 @@ from nakao.slicing import (ConstantMode, DataConstants, InitMode,
                            lifespan_upper_bound, log_lower_bounds,
                            product_limit, slice_factor, step, thresholds)
 
-from oracles import log_functional_bound_u, partial_product, weighted_sum
+import nakao.slicing as slicing
+from oracles import (assert_bound_matches, lifespan_bound_via_report,
+                     log_functional_bound_u, partial_product,
+                     product_limit_fsum, product_limit_loop, weighted_sum)
 
 # spans every dimension case of the verdict split, both small and large pq
 CONFIG_GRID = [(1, 2.0, 2.0), (1, 3.0, 2.0), (1, 1.5, 4.0),
@@ -64,6 +70,43 @@ def test_product_limit_past_float_range_is_inf():
     assert product_limit(1.001) == math.inf
     assert product_limit(1.00001) == math.inf
     assert math.isfinite(product_limit(1.0024))
+
+
+# below 1.00195 log 2 / (1 - (pq)^{-1/2}) already passes log(float max);
+# inside [1.00195, 1.00282] only the sum itself decides (at ~1.00232)
+_PQ_GRID = [float(v) for v in np.concatenate([
+    np.linspace(1.0015, 1.00195, 5, endpoint=False),
+    np.linspace(1.00195, 1.00282, 41), np.geomspace(1.00282, 1e6, 40)])]
+
+
+def test_product_limit_matches_term_loop():
+    infinite = set()
+    for pq in _PQ_GRID:
+        got, loop, exact = (product_limit(pq), product_limit_loop(pq),
+                            product_limit_fsum(pq))
+        assert math.isinf(got) == math.isinf(loop) == math.isinf(exact), pq
+        if math.isinf(got):
+            infinite.add(pq)
+            continue
+        assert abs(got - exact) <= 1e-12 * exact, pq
+        # the loop rounds once per term: up to 4.6e-11 off the exact sum in
+        # log L at log L ~ 709, 6.9e-14 of log L, so the 1e-12 is on log L
+        assert abs(math.log(got) - math.log(loop)) \
+            <= 1e-12 * max(1.0, math.log(loop)), pq
+    window = {pq for pq in _PQ_GRID if 1.00195 <= pq <= 1.00282}
+    assert infinite & window and window - infinite
+
+
+def test_product_limit_near_one_allocates_no_terms():
+    # 8e7 terms at 1.00001 and 1e14 at 1 + 1e-12 if they were formed
+    tracemalloc.start()
+    try:
+        for pq in (1.0 + 1e-12, 1.00001):
+            tracemalloc.reset_peak()
+            assert product_limit(pq) == math.inf
+            assert tracemalloc.get_traced_memory()[1] < 1 << 20
+    finally:
+        tracemalloc.stop()
 
 
 def test_partial_product_increment_identity():
@@ -407,6 +450,52 @@ def test_lifespan_bound_every_dimension_case(n, p, q):
     # shrinking the data never shrinks the bound
     lb_small = lifespan_upper_bound(ProblemParams(n, p, q, epsilon=1e-4))
     assert lb_small.t_upper >= lb.t_upper
+
+
+_EXPLICIT = dict(constant_mode=ConstantMode.EXPLICIT,
+                 data=DataConstants(2.61, 2.01, 1.21), holder_constant=3.0)
+
+
+@pytest.mark.parametrize("n,p,q", CONFIG_GRID)
+@pytest.mark.parametrize("explicit", [False, True])
+def test_lifespan_bound_matches_report_reference(n, p, q, explicit):
+    params = ProblemParams(n, p, q, epsilon=0.1)
+    kwargs = _EXPLICIT if explicit else {}
+    try:
+        want = lifespan_bound_via_report(params, **kwargs)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=re.escape(str(exc))):
+            lifespan_upper_bound(params, **kwargs)
+        return
+    assert_bound_matches(lifespan_upper_bound(params, **kwargs), want)
+
+
+@pytest.mark.parametrize("n,p,q,verdict", [
+    (2, 2.0, 3.0, "wakasugi_only"), (3, 3.0, 3.0, "none_known"),
+    (3, 3.5, 1.5, "inadmissible")])
+def test_lifespan_bound_refuses_each_non_blowup_code(n, p, q, verdict):
+    for kwargs in ({}, _EXPLICIT):
+        with pytest.raises(ValueError, match=f"verdict {verdict}$"):
+            lifespan_upper_bound(ProblemParams(n, p, q), **kwargs)
+
+
+def test_bound_and_thresholds_call_counts(monkeypatch):
+    counts = Counter()
+    for name in ("scan_arrays", "product_limit", "iteration_bounds"):
+        def counted(*args, _fn=getattr(slicing, name), _name=name, **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(slicing, name, counted)
+    params = ProblemParams(2, 1.5, 1.5, epsilon=0.1)
+    for kwargs in ({}, _EXPLICIT):
+        counts.clear()
+        lifespan_upper_bound(params, **kwargs)
+        assert counts == {"scan_arrays": 1, "product_limit": 1,
+                          "iteration_bounds": 2}
+    for mode in InitMode:
+        counts.clear()
+        thresholds(IterationConfig(params=params, init_mode=mode, **_EXPLICIT))
+        assert counts == {"iteration_bounds": 1}
 
 
 def test_explicit_constant_mode_shifts_bounds():

@@ -13,6 +13,7 @@ import pytest
 
 import nakao
 from nakao.cli import dispatch
+from oracles import assert_bound_matches, lifespan_bound_via_report
 
 ROOT = Path(__file__).resolve().parents[1]
 SPANS = ROOT / "perfbench" / "spans.py"
@@ -88,6 +89,24 @@ def test_benchmark_certify_seed0_matches_reference(monkeypatch):
     checked = certify.check(inp, certify.call(nakao, inp))
     assert checked.attempted == 47
     assert checked.failed == 0
+
+
+def test_certify_bounds_match_report_reference(monkeypatch):
+    # every seed-0 certify point in both constant modes, against the bound
+    # that reads the verdict and F1..F4 from critical_values
+    workloads = _load(ROOT / "perfbench" / "workloads.py", monkeypatch)
+    points = workloads.WORKLOADS["certify"].inputs(nakao, 0, False)["points"]
+    assert len(points) == 47
+    data = nakao.DataConstants(*workloads.CERTIFY_DATA)
+    for n, p, q in points:
+        params = nakao.ProblemParams(n, p, q, R=1.0,
+                                     epsilon=workloads.CERTIFY_EPS)
+        explicit = dict(constant_mode=nakao.ConstantMode.EXPLICIT, data=data,
+                        holder_constant=nakao.c2_constant(
+                            nakao.PhiEvaluator(n), p, 1.0))
+        for kwargs in ({}, explicit):
+            assert_bound_matches(nakao.lifespan_upper_bound(params, **kwargs),
+                                 lifespan_bound_via_report(params, **kwargs))
 
 
 def test_region_figures_script_runs(monkeypatch, tmp_path):
